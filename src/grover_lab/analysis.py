@@ -63,10 +63,12 @@ def sigma_sum(N: int, marked_count: int) -> int:
 
 def paper_amplitude(N: float, k: Optional[float] = None) -> PaperAmplitude:
     """Evaluate the closed-form unmarked amplitude; k defaults to sqrt(N)."""
-    if N <= 2:
-        raise DomainError(f"N must be > 2, got {N}")
+    if not 2 < N < math.inf:
+        raise DomainError(f"N must be finite and > 2, got {N}")
     if k is None:
         k = math.sqrt(N)
+    if not 0 <= k < math.inf:
+        raise DomainError(f"k must be finite and >= 0, got {k}")
 
     # log-magnitude of the common factor (1/N)^k (1-2/N)^(k-1) (N-2)^(k-1)
     l1 = -k * math.log(N) + (k - 1.0) * (math.log1p(-2.0 / N) + math.log(N - 2.0))

@@ -17,7 +17,13 @@ from pathlib import Path
 from . import __version__
 from .analysis import compare, paper_amplitude, paper_claims_check
 from .diagram import validate
-from .errors import GroverLabError, ParseError, TypeMismatchError
+from .errors import (
+    DomainError,
+    GroverLabError,
+    InvalidArgumentError,
+    IONotFoundError,
+    TypeMismatchError,
+)
 from .rewrite import check_rule_soundness, normalize, rules_catalog
 from .serialize import dumps_canonical, loads, to_document
 from .simulator import OracleFunction, grover_run, optimal_iterations
@@ -90,8 +96,16 @@ def _cmd_simulate(args) -> None:
 def _cmd_formula(args) -> None:
     if (args.n is None) == (args.N is None):
         raise GroverLabError("give exactly one of --n or --N")
-    N = 2.0**args.n if args.n is not None else args.N
-    k = None if args.k == "sqrt" else float(args.k)
+    try:
+        N = 2.0**args.n if args.n is not None else args.N
+    except OverflowError as exc:
+        raise DomainError(f"N = 2^{args.n} overflows a float") from exc
+    k = None
+    if args.k != "sqrt":
+        try:
+            k = float(args.k)
+        except ValueError as exc:
+            raise InvalidArgumentError(f"--k must be a number or 'sqrt', got {args.k!r}") from exc
     amp = paper_amplitude(N, k)
     result = {
         "N": amp.N,
@@ -135,7 +149,7 @@ def _cmd_compare(args) -> None:
 def _load_diagram(path: str):
     p = Path(path)
     if not p.is_file():
-        raise _IONotFound(f"no such file: {path}")
+        raise IONotFoundError(f"no such file: {path}")
     d = loads(p.read_text(encoding="utf-8"))
     report = validate(d)
     if not report.ok:
@@ -145,10 +159,6 @@ def _load_diagram(path: str):
             report=report,
         )
     return d
-
-
-class _IONotFound(GroverLabError):
-    code = "io-not-found"
 
 
 def _cmd_diagram_eval(args) -> None:
@@ -165,7 +175,12 @@ def _cmd_diagram_normalize(args) -> None:
 
 
 def _cmd_rules_check(args) -> None:
-    sizes = [int(x) for x in args.sizes.split(",")]
+    try:
+        sizes = [int(x) for x in args.sizes.split(",")]
+    except ValueError as exc:
+        raise InvalidArgumentError(
+            f"--sizes must be a comma list of integers, got {args.sizes!r}"
+        ) from exc
     reports = [
         check_rule_soundness(rule, sizes, seed=args.seed) for rule in rules_catalog()
     ]

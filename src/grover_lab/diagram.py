@@ -5,6 +5,10 @@ generators placed side by side.  Wires are typed by :class:`SpaceLabel`.
 Slice k's concatenated output spaces must equal slice k+1's concatenated
 input spaces.  The empty diagram (no slices, no wires) denotes the scalar 1.
 
+Each generator owns its matrix (:meth:`Generator.to_matrix`) and its adjoint
+(:meth:`Generator.adjoint`); its dataclass fields are all that serialization
+needs.
+
 All values are immutable; every operation returns a new diagram.
 """
 
@@ -14,16 +18,10 @@ import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Tuple
 
-from .errors import (
-    DimensionCapError,
-    InvalidArgumentError,
-    InvalidGeneratorError,
-    TypeMismatchError,
-)
-from .spaces import TRIVIAL, GroupSpec, SpaceLabel
+import numpy as np
 
-# Cap on product(input dims) * product(output dims) of a diagram interface.
-DEFAULT_DIMENSION_CAP = 1 << 24
+from .errors import InvalidGeneratorError, TypeMismatchError
+from .spaces import GroupSpec, SpaceLabel
 
 Spaces = Tuple[SpaceLabel, ...]
 
@@ -38,20 +36,29 @@ def dims_product(spaces) -> int:
 
 
 class Generator:
-    """Base class for the atomic boxes a slice is built from."""
+    """Base class for the atomic boxes a slice is built from.
+
+    ``dom`` and ``cod`` are the input and output spaces.  :meth:`to_matrix`
+    and :meth:`adjoint` each default to a derivation from the other, so a
+    subclass defines at least one of them.
+    """
 
     variant: ClassVar[str] = ""
+    dom: Spaces
+    cod: Spaces
 
-    @property
-    def dom(self) -> Spaces:
-        raise NotImplementedError
+    def to_matrix(self) -> np.ndarray:
+        """Complex matrix of shape (prod cod dims, prod dom dims).
 
-    @property
-    def cod(self) -> Spaces:
-        raise NotImplementedError
+        The default transposes the adjoint's matrix without conjugating it,
+        so it serves only generators whose adjoint's matrix is real.
+        """
+        return self.adjoint().to_matrix().T
 
     def adjoint(self) -> "Generator":
-        raise NotImplementedError
+        """The default is a box named ``self.name + "†"`` holding the
+        conjugate transpose, so a generator relying on it has a ``name``."""
+        return CustomBox(self.name + "†", self.cod, self.dom, self.to_matrix().conj().T)
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,9 @@ class Identity(Generator):
     @property
     def cod(self):
         return (self.space,)
+
+    def to_matrix(self):
+        return np.eye(self.space.dimension, dtype=complex)
 
     def adjoint(self):
         return self
@@ -86,6 +96,12 @@ class Mult(Generator):
     def cod(self):
         return (self.space,)
 
+    def to_matrix(self):
+        n = self.space.dimension
+        m = np.zeros((n, n * n), dtype=complex)
+        m[np.arange(n), np.arange(n) * (n + 1)] = 1.0
+        return m
+
     def adjoint(self):
         return Comult(self.space)
 
@@ -104,6 +120,9 @@ class Unit(Generator):
     @property
     def cod(self):
         return (self.space,)
+
+    def to_matrix(self):
+        return np.ones((self.space.dimension, 1), dtype=complex)
 
     def adjoint(self):
         return Counit(self.space)
@@ -152,13 +171,15 @@ class FunctionBox(Generator):
     """Linearization of a total function between finite sets.
 
     The function is stored as an index array: ``table[i]`` is the image of
-    basis element i.  The 0/1 matrix is derived on demand.
+    basis element i.  The 0/1 matrix is derived on demand; the adjoint is
+    its transpose, no longer a function in general.
     """
 
     domain: SpaceLabel
     codomain: SpaceLabel
     table: Tuple[int, ...]
     variant: ClassVar[str] = "FunctionBox"
+    name: ClassVar[str] = "function"
 
     def __post_init__(self):
         if len(self.table) != self.domain.dimension:
@@ -178,17 +199,10 @@ class FunctionBox(Generator):
     def cod(self):
         return (self.codomain,)
 
-    def adjoint(self):
-        # Transposed 0/1 matrix; no longer a function in general.
-        rows = tuple(
-            tuple(1.0 + 0j if self.table[j] == i else 0j for j in range(self.domain.dimension))
-            for i in range(self.codomain.dimension)
-        )
-        transposed = tuple(
-            tuple(rows[i][j] for i in range(self.codomain.dimension))
-            for j in range(self.domain.dimension)
-        )
-        return CustomBox("function†", (self.codomain,), (self.domain,), transposed)
+    def to_matrix(self):
+        m = np.zeros((self.codomain.dimension, self.domain.dimension), dtype=complex)
+        m[list(self.table), np.arange(self.domain.dimension)] = 1.0
+        return m
 
 
 @dataclass(frozen=True)
@@ -212,6 +226,11 @@ class Point(Generator):
     @property
     def cod(self):
         return (self.space,)
+
+    def to_matrix(self):
+        m = np.zeros((self.space.dimension, 1), dtype=complex)
+        m[self.index, 0] = 1.0
+        return m
 
     def adjoint(self):
         return PointEffect(self.space, self.index)
@@ -249,6 +268,7 @@ class GroupMult(Generator):
 
     group: GroupSpec
     variant: ClassVar[str] = "GroupMult"
+    name: ClassVar[str] = "groupmult"
 
     @property
     def dom(self):
@@ -259,16 +279,12 @@ class GroupMult(Generator):
     def cod(self):
         return (self.group.space(),)
 
-    def adjoint(self):
+    def to_matrix(self):
         n = self.group.order
-        # delta-matrix transpose: G -> G (x) G.
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                row = [0j] * n
-                row[self.group.multiply(i, j)] = 1.0 + 0j
-                rows.append(tuple(row))
-        return CustomBox("groupmult†", (self.group.space(),), self.dom, tuple(rows))
+        m = np.zeros((n, n * n), dtype=complex)
+        # column i*n + j holds the product of elements i and j
+        m[np.ravel(self.group.multiplication_table), np.arange(n * n)] = 1.0
+        return m
 
 
 @dataclass(frozen=True)
@@ -303,6 +319,7 @@ class RepBox(Generator):
     irrep_index: int
     dimension: int = 1
     variant: ClassVar[str] = "RepBox"
+    name: ClassVar[str] = "rep"
 
     def __post_init__(self):
         if self.group.character_table is None:
@@ -320,49 +337,49 @@ class RepBox(Generator):
     def cod(self):
         return ()
 
-    def adjoint(self):
-        chars = self.group.character_table[self.irrep_index]
-        col = tuple((c.conjugate(),) for c in chars)
-        return CustomBox("rep†", (), (self.group.space(),), col)
+    def to_matrix(self):
+        return np.array([self.group.character_table[self.irrep_index]], dtype=complex)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CustomBox(Generator):
     """An arbitrary linear map with an explicit matrix.
 
-    ``matrix`` is row-major with shape (product of cod dims, product of dom
-    dims), stored as nested tuples of complex so boxes stay hashable.
+    ``matrix`` has shape (product of cod dims, product of dom dims) and is
+    stored as a read-only complex array.  Boxes hash by name and spaces and
+    compare equal when their matrices are entrywise equal.
     """
 
     name: str
-    dom_spaces: Spaces
-    cod_spaces: Spaces
-    matrix: Tuple[Tuple[complex, ...], ...]
+    dom: Spaces
+    cod: Spaces
+    matrix: np.ndarray
     variant: ClassVar[str] = "CustomBox"
 
     def __post_init__(self):
-        rows = dims_product(self.cod_spaces)
-        cols = dims_product(self.dom_spaces)
+        rows, cols = dims_product(self.cod), dims_product(self.dom)
+        # Measured before conversion: np.array raises an uncoded ValueError
+        # on ragged rows.
         if len(self.matrix) != rows or any(len(r) != cols for r in self.matrix):
             raise InvalidGeneratorError(
                 f"matrix of box {self.name!r} must be {rows}x{cols}"
             )
+        m = np.array(self.matrix, dtype=complex, order="C")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
-    @property
-    def dom(self):
-        return self.dom_spaces
-
-    @property
-    def cod(self):
-        return self.cod_spaces
-
-    def adjoint(self):
-        rows = len(self.matrix)
-        cols = len(self.matrix[0]) if rows else dims_product(self.dom_spaces)
-        conj_t = tuple(
-            tuple(self.matrix[i][j].conjugate() for i in range(rows)) for j in range(cols)
+    def __eq__(self, other):
+        return (
+            isinstance(other, CustomBox)
+            and (self.name, self.dom, self.cod) == (other.name, other.dom, other.cod)
+            and np.array_equal(self.matrix, other.matrix)
         )
-        return CustomBox(self.name + "†", self.cod_spaces, self.dom_spaces, conj_t)
+
+    def __hash__(self):
+        return hash((self.name, self.dom, self.cod))
+
+    def to_matrix(self):
+        return self.matrix
 
 
 @dataclass(frozen=True)
@@ -378,6 +395,12 @@ class Swap(Generator):
     @property
     def cod(self):
         return (self.right, self.left)
+
+    def to_matrix(self):
+        dl, dr = self.left.dimension, self.right.dimension
+        # row j*dl + i is basis column i*dr + j
+        eye = np.eye(dl * dr, dtype=complex)
+        return eye.reshape(dl, dr, dl * dr).transpose(1, 0, 2).reshape(dr * dl, dl * dr)
 
     def adjoint(self):
         return Swap(self.right, self.left)
@@ -454,16 +477,11 @@ def compose(first: Diagram, then: Diagram) -> Diagram:
     return Diagram(first.input_spaces, then.output_spaces, first.slices + then.slices)
 
 
-def tensor(left: Diagram, right: Diagram, cap: Optional[int] = None) -> Diagram:
+def tensor(left: Diagram, right: Diagram) -> Diagram:
     """Side-by-side placement; the shorter diagram is padded with identity
     slices on its outputs so both have the same number of slices."""
-    cap = DEFAULT_DIMENSION_CAP if cap is None else cap
     inputs = left.input_spaces + right.input_spaces
     outputs = left.output_spaces + right.output_spaces
-    if dims_product(inputs) * dims_product(outputs) > cap:
-        raise DimensionCapError(
-            f"tensor interface exceeds dimension cap {cap}"
-        )
     height = max(len(left.slices), len(right.slices))
 
     def padded(d):

@@ -43,3 +43,7 @@ class ParseError(GroverLabError):
 
 class DomainError(GroverLabError):
     code = "domain-error"
+
+
+class IONotFoundError(GroverLabError):
+    code = "io-not-found"

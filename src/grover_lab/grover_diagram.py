@@ -57,7 +57,7 @@ def diffusion_box(space: SpaceLabel) -> CustomBox:
     mean = compose(make_generator(Counit(space)), make_generator(Unit(space)))
     a = evaluate(mean).matrix / n
     d = -np.eye(n, dtype=complex) + 2.0 * a
-    return CustomBox("D", (space,), (space,), tuple(tuple(row) for row in d))
+    return CustomBox("D", (space,), (space,), d)
 
 
 def oracle_diagram(fbox: FunctionBox, group: GroupSpec = Z2) -> Diagram:

@@ -190,9 +190,9 @@ def _try_match(rule: RewriteRule, d: Diagram, i: int, j: int) -> Optional[_Match
 def _is_unit_scalar(g: Generator) -> bool:
     return (
         isinstance(g, CustomBox)
-        and not g.dom_spaces
-        and not g.cod_spaces
-        and g.matrix[0][0] == 1.0 + 0j
+        and not g.dom
+        and not g.cod
+        and g.matrix[0, 0] == 1.0 + 0j
     )
 
 

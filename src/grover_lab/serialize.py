@@ -7,35 +7,56 @@ Document shape:
      "inputs": [space names], "outputs": [space names],
      "slices": [[generator records], ...]}
 
-Generator records carry a "variant" field with the generator class name.
-Complex numbers are [re, im] pairs.  Printing is canonical (sorted keys),
-so parse-then-print is idempotent.
+A generator record carries a "variant" field with the generator class name
+and one field per dataclass field of that class, encoded by the field's
+type: spaces and groups by name, index tables as lists, and a CustomBox
+matrix as rows of [re, im] pairs.  Printing is canonical (sorted keys), so
+parse-then-print is idempotent.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
+from typing import Tuple, get_type_hints
 
-from .diagram import (
-    Comult,
-    Counit,
-    CustomBox,
-    Diagram,
-    FunctionBox,
-    GroupMult,
-    GroupUnit,
-    Identity,
-    Mult,
-    Point,
-    PointEffect,
-    RepBox,
-    Swap,
-    Unit,
-)
-from .errors import InvalidArgumentError, ParseError
+import numpy as np
+
+from .diagram import Diagram, Generator, Spaces
+from .errors import DomainError, InvalidArgumentError, ParseError
 from .spaces import GroupSpec, SpaceLabel
 
 FORMAT_VERSION = 1
+
+_VARIANTS = {cls.variant: cls for cls in Generator.__subclasses__()}
+# (field name, field type, whether the field has a default) per variant
+_FIELDS = {
+    cls: [(f.name, get_type_hints(cls)[f.name], f.default is not MISSING) for f in fields(cls)]
+    for cls in _VARIANTS.values()
+}
+
+_ENCODE = {
+    SpaceLabel: lambda s: s.name,
+    GroupSpec: lambda g: g.name,
+    Spaces: lambda ss: [s.name for s in ss],
+    Tuple[int, ...]: list,
+    np.ndarray: lambda m: np.stack((m.real, m.imag), -1).tolist(),
+}
+
+
+def _decoders(spaces, groups):
+    """Field decoders by type, resolving names against one document."""
+    return {
+        SpaceLabel: spaces.__getitem__,
+        GroupSpec: groups.__getitem__,
+        Spaces: lambda names: tuple(spaces[n] for n in names),
+        Tuple[int, ...]: tuple,
+        np.ndarray: lambda rows: [[_parse_c(x) for x in row] for row in rows],
+    }
+
+
+def _same(v):
+    return v
 
 
 def _c(z: complex):
@@ -71,8 +92,9 @@ def _collect_spaces(d: Diagram):
         for g in sl:
             for s in g.dom + g.cod:
                 see_space(s)
-            if isinstance(g, (GroupMult, GroupUnit, RepBox)):
-                see_group(g.group)
+            for name, tp, _ in _FIELDS[type(g)]:
+                if tp is GroupSpec:
+                    see_group(getattr(g, name))
     return spaces, groups
 
 
@@ -92,37 +114,10 @@ def _space_record(s: SpaceLabel, groups) -> dict:
 
 
 def _generator_record(g) -> dict:
-    if isinstance(g, (Identity, Mult, Unit, Comult, Counit)):
-        return {"variant": g.variant, "space": g.space.name}
-    if isinstance(g, (Point, PointEffect)):
-        return {"variant": g.variant, "space": g.space.name, "index": g.index}
-    if isinstance(g, FunctionBox):
-        return {
-            "variant": g.variant,
-            "domain": g.domain.name,
-            "codomain": g.codomain.name,
-            "table": list(g.table),
-        }
-    if isinstance(g, (GroupMult, GroupUnit)):
-        return {"variant": g.variant, "group": g.group.name}
-    if isinstance(g, RepBox):
-        return {
-            "variant": g.variant,
-            "group": g.group.name,
-            "irrep_index": g.irrep_index,
-            "dimension": g.dimension,
-        }
-    if isinstance(g, CustomBox):
-        return {
-            "variant": g.variant,
-            "name": g.name,
-            "dom": [s.name for s in g.dom_spaces],
-            "cod": [s.name for s in g.cod_spaces],
-            "matrix": [[_c(x) for x in row] for row in g.matrix],
-        }
-    if isinstance(g, Swap):
-        return {"variant": g.variant, "left": g.left.name, "right": g.right.name}
-    raise InvalidArgumentError(f"cannot serialize generator {g!r}")
+    rec = {"variant": g.variant}
+    for name, tp, _ in _FIELDS[type(g)]:
+        rec[name] = _ENCODE.get(tp, _same)(getattr(g, name))
+    return rec
 
 
 def to_document(d: Diagram) -> dict:
@@ -158,45 +153,19 @@ def _parse_spaces(doc):
     return spaces, groups
 
 
-def _parse_generator(rec, spaces, groups):
+def _parse_generator(rec, decode):
     variant = rec.get("variant")
+    cls = _VARIANTS.get(variant)
+    if cls is None:
+        raise ParseError(f"unknown generator variant {variant!r}")
     try:
-        if variant == "Identity":
-            return Identity(spaces[rec["space"]])
-        if variant == "Mult":
-            return Mult(spaces[rec["space"]])
-        if variant == "Unit":
-            return Unit(spaces[rec["space"]])
-        if variant == "Comult":
-            return Comult(spaces[rec["space"]])
-        if variant == "Counit":
-            return Counit(spaces[rec["space"]])
-        if variant == "Point":
-            return Point(spaces[rec["space"]], rec["index"])
-        if variant == "PointEffect":
-            return PointEffect(spaces[rec["space"]], rec["index"])
-        if variant == "FunctionBox":
-            return FunctionBox(
-                spaces[rec["domain"]], spaces[rec["codomain"]], tuple(rec["table"])
-            )
-        if variant == "GroupMult":
-            return GroupMult(groups[rec["group"]])
-        if variant == "GroupUnit":
-            return GroupUnit(groups[rec["group"]])
-        if variant == "RepBox":
-            return RepBox(groups[rec["group"]], rec["irrep_index"], rec.get("dimension", 1))
-        if variant == "CustomBox":
-            return CustomBox(
-                rec["name"],
-                tuple(spaces[s] for s in rec["dom"]),
-                tuple(spaces[s] for s in rec["cod"]),
-                tuple(tuple(_parse_c(x) for x in row) for row in rec["matrix"]),
-            )
-        if variant == "Swap":
-            return Swap(spaces[rec["left"]], spaces[rec["right"]])
+        return cls(**{
+            name: decode.get(tp, _same)(rec[name])
+            for name, tp, has_default in _FIELDS[cls]
+            if name in rec or not has_default
+        })
     except KeyError as exc:
         raise ParseError(f"generator record {rec!r} references unknown name {exc}") from exc
-    raise ParseError(f"unknown generator variant {variant!r}")
 
 
 def from_document(doc: dict) -> Diagram:
@@ -208,21 +177,24 @@ def from_document(doc: dict) -> Diagram:
         spaces, groups = _parse_spaces(doc)
         inputs = tuple(spaces[name] for name in doc["inputs"])
         outputs = tuple(spaces[name] for name in doc["outputs"])
-        slices = tuple(
-            tuple(_parse_generator(rec, spaces, groups) for rec in sl)
-            for sl in doc["slices"]
-        )
+        decode = _decoders(spaces, groups)
+        slices = tuple(tuple(_parse_generator(rec, decode) for rec in sl) for sl in doc["slices"])
     except ParseError:
         raise
     except KeyError as exc:
         raise ParseError(f"missing key {exc} in diagram document") from exc
-    except (TypeError, IndexError) as exc:
+    except (AttributeError, TypeError, IndexError) as exc:
         raise ParseError(f"malformed diagram document: {exc}") from exc
     return Diagram(inputs, outputs, slices)
 
 
 def dumps_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Sorted-key JSON; a NaN or infinity, which strict JSON cannot hold,
+    raises a coded error instead of printing a non-standard token."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError(f"result is not finite: {exc}") from exc
 
 
 def loads(text: str) -> Diagram:

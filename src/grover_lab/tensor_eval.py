@@ -15,27 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import (
-    DEFAULT_DIMENSION_CAP,
-    Comult,
-    Counit,
-    CustomBox,
-    Diagram,
-    FunctionBox,
-    Generator,
-    GroupMult,
-    GroupUnit,
-    Identity,
-    Mult,
-    Point,
-    PointEffect,
-    RepBox,
-    Swap,
-    Unit,
-    dims_product,
-)
-from .errors import DimensionCapError, InvalidGeneratorError, NotClosedError, TypeMismatchError
+from .diagram import Diagram, Generator, Identity, dims_product
+from .errors import DimensionCapError, NotClosedError, TypeMismatchError
 from . import diagram as _diagram
+
+# Cap on the entries of each generator matrix and each tensor evaluate allocates.
+DEFAULT_DIMENSION_CAP = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,59 +53,7 @@ class DenseTensor:
 
 def eval_generator(g: Generator) -> np.ndarray:
     """Matrix of a single generator, shape (prod cod dims, prod dom dims)."""
-    if isinstance(g, Identity):
-        return np.eye(g.space.dimension, dtype=complex)
-    if isinstance(g, Mult):
-        n = g.space.dimension
-        m = np.zeros((n, n * n), dtype=complex)
-        for i in range(n):
-            m[i, i * n + i] = 1.0
-        return m
-    if isinstance(g, Comult):
-        return eval_generator(Mult(g.space)).T
-    if isinstance(g, Unit):
-        return np.ones((g.space.dimension, 1), dtype=complex)
-    if isinstance(g, Counit):
-        return np.ones((1, g.space.dimension), dtype=complex)
-    if isinstance(g, FunctionBox):
-        m = np.zeros((g.codomain.dimension, g.domain.dimension), dtype=complex)
-        for i, t in enumerate(g.table):
-            m[t, i] = 1.0
-        return m
-    if isinstance(g, Point):
-        m = np.zeros((g.space.dimension, 1), dtype=complex)
-        m[g.index, 0] = 1.0
-        return m
-    if isinstance(g, PointEffect):
-        m = np.zeros((1, g.space.dimension), dtype=complex)
-        m[0, g.index] = 1.0
-        return m
-    if isinstance(g, GroupMult):
-        n = g.group.order
-        m = np.zeros((n, n * n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                m[g.group.multiply(i, j), i * n + j] = 1.0
-        return m
-    if isinstance(g, GroupUnit):
-        m = np.zeros((g.group.order, 1), dtype=complex)
-        m[g.group.identity_index, 0] = 1.0
-        return m
-    if isinstance(g, RepBox):
-        chars = g.group.character_table[g.irrep_index]
-        return np.array([list(chars)], dtype=complex)
-    if isinstance(g, Swap):
-        dl, dr = g.left.dimension, g.right.dimension
-        m = np.zeros((dr * dl, dl * dr), dtype=complex)
-        for i in range(dl):
-            for j in range(dr):
-                m[j * dl + i, i * dr + j] = 1.0
-        return m
-    if isinstance(g, CustomBox):
-        return np.array(g.matrix, dtype=complex).reshape(
-            dims_product(g.cod_spaces), dims_product(g.dom_spaces)
-        )
-    raise InvalidGeneratorError(f"unknown generator {g!r}")
+    return g.to_matrix()
 
 
 def _apply_slice(t: np.ndarray, sl, cap: int) -> np.ndarray:

@@ -171,6 +171,26 @@ def test_domain_error_exits_1():
     assert err["code"] == "invalid-argument"
 
 
+BAD_NUMBERS = [
+    (["formula", "--N", "nan"], "domain-error"),
+    (["formula", "--N", "inf"], "domain-error"),
+    (["formula", "--N", "8", "--k", "inf"], "domain-error"),
+    (["formula", "--N", "8", "--k", "nan"], "domain-error"),
+    (["formula", "--N", "8", "--k", "abc"], "invalid-argument"),
+    (["formula", "--N", "3", "--k", "-5"], "domain-error"),
+    (["formula", "--n", "2000"], "domain-error"),
+    (["rules-check", "--sizes", "1,x"], "invalid-argument"),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
+def test_bad_number_is_a_coded_error(argv, code):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["code"] == code
+
+
 def test_output_is_byte_identical_across_runs():
     a = run_cli("claims", "--n-min", "2", "--n-max", "10")
     b = run_cli("claims", "--n-min", "2", "--n-max", "10")

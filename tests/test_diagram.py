@@ -1,5 +1,5 @@
+import itertools
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -10,21 +10,29 @@ from grover_lab.diagram import (
     EMPTY,
     Comult,
     Counit,
+    CustomBox,
     Diagram,
+    FunctionBox,
+    Generator,
+    GroupMult,
+    GroupUnit,
     Identity,
     Mult,
     Point,
     PointEffect,
+    RepBox,
+    Swap,
     Unit,
     compose,
     dagger,
+    dims_product,
     identity_diagram,
     make_generator,
     tensor,
     validate,
 )
 from grover_lab.errors import DimensionCapError, InvalidGeneratorError, TypeMismatchError
-from grover_lab.spaces import TRIVIAL, set_space
+from grover_lab.spaces import TRIVIAL, GroupSpec, cyclic_group, set_space
 from grover_lab.tensor_eval import evaluate
 
 from conftest import assert_close
@@ -92,9 +100,11 @@ def test_tensor_of_units_is_all_ones():
 
 
 def test_tensor_dimension_cap():
+    # building is symbolic; the cap applies where evaluate would allocate
     big = set_space("big", 1 << 13)
+    d = tensor(make_generator(Unit(big)), make_generator(Unit(big)))
     with pytest.raises(DimensionCapError):
-        tensor(make_generator(Unit(big)), make_generator(Unit(big)))
+        evaluate(d)
 
 
 def test_dagger_swaps_unit_and_counit():
@@ -148,9 +158,84 @@ def test_interchange_law(seed_a, seed_b):
     db = random_diagram(random.Random(seed_b))
     a, c = split_diagram(da, len(da.slices) // 2)
     b, d = split_diagram(db, len(db.slices) // 2)
-    # tensor(c, d) is only ever evaluated inside lhs, whose own interface
-    # and intermediates evaluate() still caps; tensor()'s default cap guards
-    # diagrams evaluated whole, so it is lifted for this middle layer
-    lhs = compose(tensor(a, b), tensor(c, d, cap=sys.maxsize))
+    lhs = compose(tensor(a, b), tensor(c, d))
     rhs = tensor(compose(a, c), compose(b, d))
     assert_close(evaluate(lhs).matrix, evaluate(rhs).matrix)
+
+
+# --- the generator protocol ----------------------------------------------
+
+Z4 = cyclic_group(4)
+ONE_OF_EACH = [
+    Identity(T),
+    Mult(S),
+    Unit(T),
+    Comult(T),
+    Counit(S),
+    FunctionBox(S, T, (2, 0)),
+    Point(T, 1),
+    PointEffect(T, 2),
+    GroupMult(Z4),
+    GroupUnit(Z4),
+    RepBox(Z4, 1),  # characters 1, i, -1, -i: the adjoint must conjugate
+    CustomBox("b", (S,), (T, S), np.arange(12).reshape(6, 2) * (1 - 2j)),
+    Swap(S, T),
+]
+
+
+def test_one_instance_of_each_generator_kind():
+    assert sorted(g.variant for g in ONE_OF_EACH) == sorted(
+        cls.variant for cls in Generator.__subclasses__()
+    )
+
+
+@pytest.mark.parametrize("g", ONE_OF_EACH, ids=lambda g: g.variant)
+def test_adjoint_matrix_is_conjugate_transpose(g):
+    m = g.to_matrix()
+    assert m.dtype == np.complex128
+    assert m.shape == (dims_product(g.cod), dims_product(g.dom))
+    adj = g.adjoint()
+    assert (adj.dom, adj.cod) == (g.cod, g.dom)
+    assert np.array_equal(adj.to_matrix(), m.conj().T)
+
+
+def test_default_adjoint_names():
+    names = [g.adjoint().name for g in ONE_OF_EACH if isinstance(g.adjoint(), CustomBox)]
+    assert names == ["function†", "groupmult†", "rep†", "b†"]
+
+
+def _s3():
+    perms = list(itertools.permutations(range(3)))
+    table = tuple(
+        tuple(perms.index(tuple(p[q[x]] for x in range(3))) for q in perms) for p in perms
+    )
+    return GroupSpec("S3", 6, table, perms.index((0, 1, 2)))
+
+
+def test_permutation_matrices_match_loop_reference():
+    g = _s3()  # non-abelian, so the order of the factors shows
+    want = np.zeros((6, 36))
+    for i in range(6):
+        for j in range(6):
+            want[g.multiply(i, j), i * 6 + j] = 1.0
+    assert np.array_equal(GroupMult(g).to_matrix(), want)
+    want = np.zeros((6, 6))
+    for i in range(2):
+        for j in range(3):
+            want[j * 2 + i, i * 3 + j] = 1.0
+    assert np.array_equal(Swap(S, T).to_matrix(), want)
+    assert np.array_equal(FunctionBox(S, T, (2, 0)).to_matrix(), [[0, 1], [0, 0], [1, 0]])
+
+
+def test_custom_box_is_a_read_only_hashable_value():
+    m = np.array([[1, 2j], [0, -0.0]])
+    box = CustomBox("b", (S,), (S,), m)
+    m[0, 0] = 5  # the box holds its own copy
+    assert box.matrix.dtype == np.complex128 and box.matrix[0, 0] == 1
+    with pytest.raises(ValueError):
+        box.matrix[0, 0] = 2
+    twin = CustomBox("b", (S,), (S,), [[1, 2j], [0, 0.0]])  # -0.0 == 0.0
+    assert twin == box and hash(twin) == hash(box) and len({box, twin}) == 1
+    assert CustomBox("b", (S,), (S,), box.matrix.copy()) == box
+    assert CustomBox("b", (S,), (S,), [[1, 2j], [0, 1]]) != box
+    assert CustomBox("c", (S,), (S,), box.matrix) != box

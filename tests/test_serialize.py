@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from grover_lab.diagram import (
     Diagram,
+    Generator,
     GroupMult,
     Identity,
     RepBox,
@@ -14,9 +16,14 @@ from grover_lab.diagram import (
     tensor,
     validate,
 )
-from grover_lab.errors import InvalidArgumentError, ParseError
+from grover_lab.errors import (
+    DomainError,
+    InvalidArgumentError,
+    InvalidGeneratorError,
+    ParseError,
+)
 from grover_lab.grover_diagram import build_grover_diagram, indicator_box, register_space
-from grover_lab.serialize import dumps, from_document, loads, to_document
+from grover_lab.serialize import dumps, dumps_canonical, from_document, loads, to_document
 from grover_lab.spaces import Z2, cyclic_group, set_space
 
 
@@ -117,3 +124,98 @@ def test_sign_rep_survives_round_trip_numerically():
     d = make_generator(RepBox(Z2, 1))
     back = loads(dumps(d))
     assert (evaluate(back).matrix == evaluate(d).matrix).all()
+
+
+def test_dumps_canonical_rejects_non_finite_numbers():
+    for x in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            dumps_canonical({"A": x})
+
+
+def test_non_object_generator_record_is_a_parse_error():
+    with pytest.raises(ParseError, match="malformed"):
+        from_document(_document(5, []))
+
+
+# One record per generator variant, written out by hand, with the spaces it
+# names.  The record format is the dataclass fields; CustomBox's spaces are
+# keyed "dom" and "cod".
+SPACE_RECORDS = {
+    "S": {"dimension": 2, "kind": "set", "name": "S"},
+    "T": {"dimension": 3, "kind": "set", "name": "T"},
+    "Z2": {
+        "dimension": 2,
+        "group": {
+            "character_table": [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]],
+            "identity_index": 0,
+            "multiplication_table": [[0, 1], [1, 0]],
+            "order": 2,
+        },
+        "kind": "group",
+        "name": "Z2",
+    },
+}
+RECORDS = [
+    ('{"space": "S", "variant": "Identity"}', ["S"]),
+    ('{"space": "S", "variant": "Mult"}', ["S"]),
+    ('{"space": "T", "variant": "Unit"}', ["T"]),
+    ('{"space": "T", "variant": "Comult"}', ["T"]),
+    ('{"space": "S", "variant": "Counit"}', ["S"]),
+    ('{"codomain": "T", "domain": "S", "table": [2, 0], "variant": "FunctionBox"}', ["S", "T"]),
+    ('{"index": 1, "space": "T", "variant": "Point"}', ["T"]),
+    ('{"index": 2, "space": "T", "variant": "PointEffect"}', ["T"]),
+    ('{"group": "Z2", "variant": "GroupMult"}', ["Z2"]),
+    ('{"group": "Z2", "variant": "GroupUnit"}', ["Z2"]),
+    ('{"dimension": 1, "group": "Z2", "irrep_index": 1, "variant": "RepBox"}', ["Z2"]),
+    (
+        '{"cod": ["S"], "dom": [], "matrix": [[[1.0, -0.0]], [[0.5, -2.0]]], '
+        '"name": "b", "variant": "CustomBox"}',
+        ["S"],
+    ),
+    ('{"left": "S", "right": "T", "variant": "Swap"}', ["S", "T"]),
+]
+
+
+def _document(record, names):
+    return {
+        "inputs": [],
+        "outputs": [],
+        "slices": [[record]],
+        "spaces": [SPACE_RECORDS[n] for n in names],
+        "version": 1,
+    }
+
+
+def test_records_cover_every_variant():
+    assert sorted(json.loads(r)["variant"] for r, _ in RECORDS) == sorted(
+        cls.variant for cls in Generator.__subclasses__()
+    )
+
+
+@pytest.mark.parametrize(
+    "record, names", RECORDS, ids=[json.loads(r)["variant"] for r, _ in RECORDS]
+)
+def test_record_round_trips_to_the_same_text(record, names):
+    text = json.dumps(_document(json.loads(record), names), sort_keys=True, indent=2) + "\n"
+    assert dumps(loads(text)) == text
+
+
+def test_record_may_omit_a_field_with_a_default():
+    rec = {"group": "Z2", "irrep_index": 1, "variant": "RepBox"}
+    assert from_document(_document(rec, ["Z2"])).slices[0][0].dimension == 1
+
+
+@pytest.mark.parametrize(
+    "matrix, error",
+    [
+        ([[[1, 0], [0, 0]], [[1, 0]]], InvalidGeneratorError),  # ragged
+        ([[[1], [0, 0]], [[0, 0], [1, 0]]], ParseError),  # short pair
+        ([[["a", 0], [0, 0]], [[0, 0], [1, 0]]], ParseError),  # string entry
+        ([[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]]], InvalidGeneratorError),  # 2x3
+    ],
+    ids=["ragged", "short-pair", "string-entry", "wrong-shape"],
+)
+def test_malformed_matrix_record_error_codes(matrix, error):
+    rec = {"variant": "CustomBox", "name": "b", "dom": ["S"], "cod": ["S"], "matrix": matrix}
+    with pytest.raises(error):
+        from_document(_document(rec, ["S"]))
