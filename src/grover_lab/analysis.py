@@ -70,8 +70,10 @@ def paper_amplitude(N: float, k: Optional[float] = None) -> PaperAmplitude:
     if not 0 <= k < math.inf:
         raise DomainError(f"k must be finite and >= 0, got {k}")
 
-    # log-magnitude of the common factor (1/N)^k (1-2/N)^(k-1) (N-2)^(k-1)
-    l1 = -k * math.log(N) + (k - 1.0) * (math.log1p(-2.0 / N) + math.log(N - 2.0))
+    # log-magnitude of the common factor (1/N)^k (1-2/N)^(k-1) (N-2)^(k-1),
+    # written as (1/N) (1-2/N)^(2(k-1)) so that no two terms of size k log N
+    # cancel
+    l1 = -math.log(N) + 2.0 * (k - 1.0) * math.log1p(-2.0 / N)
     t1 = math.exp(l1)
     # second summand is t1 * (2/N) * (N-2) = t1 * (2 - 4/N)
     t2 = math.exp(l1 + math.log(2.0 - 4.0 / N))

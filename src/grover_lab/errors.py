@@ -33,10 +33,6 @@ class NoMatchError(GroverLabError):
     code = "no-match"
 
 
-class SideConditionError(GroverLabError):
-    code = "side-condition-failed"
-
-
 class ParseError(GroverLabError):
     code = "parse-error"
 

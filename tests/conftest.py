@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# No example database: a property test passes or fails the same way on any
+# checkout, whatever an earlier run left in a local .hypothesis directory.
+settings.register_profile("no-database", database=None)
+settings.load_profile("no-database")
 
 
 @pytest.fixture

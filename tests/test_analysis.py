@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,25 @@ def test_two_summand_form_matches_simplified(n, mode):
     amp = paper_amplitude(N, k)
     scale = max(abs(amp.simplified_value), 1e-300)
     assert abs(amp.two_summand_value - amp.simplified_value) / scale < 1e-12
+
+
+def _closed_form_amplitude(N, k):
+    """-(1/N) (1-2/N)^(2(k-1)) (1-4/N) in 50-digit decimal arithmetic, with
+    ln(1-2/N) summed as a series so that 2/N is not lost next to 1."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        N, k = Decimal(N), Decimal(k)
+        x = 2 / N
+        log1p = -sum(x**m / m for m in range(1, 80))
+        return -(1 / N) * (2 * (k - 1) * log1p).exp() * (1 - 4 / N)
+
+
+@pytest.mark.parametrize("n", [10, 30, 60, 200, 1023])
+def test_amplitude_keeps_relative_precision_at_large_n(n):
+    N = 2.0**n
+    amp = paper_amplitude(N)
+    want = _closed_form_amplitude(N, amp.k)
+    assert abs((Decimal(amp.simplified_value) - want) / want) < Decimal("1e-12")
 
 
 def test_amplitude_decays_roughly_like_inverse_N():

@@ -180,12 +180,14 @@ BAD_NUMBERS = [
     (["formula", "--N", "3", "--k", "-5"], "domain-error"),
     (["formula", "--n", "2000"], "domain-error"),
     (["rules-check", "--sizes", "1,x"], "invalid-argument"),
+    (["diagram-normalize", "{diagram}", "--max-steps", "0"], "invalid-argument"),
+    (["diagram-normalize", "{diagram}", "--max-steps", "-3"], "invalid-argument"),
 ]
 
 
 @pytest.mark.parametrize("argv, code", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
-def test_bad_number_is_a_coded_error(argv, code):
-    proc = run_cli(*argv)
+def test_bad_number_is_a_coded_error(argv, code, diagram_file):
+    proc = run_cli(*[a.format(diagram=diagram_file) for a in argv])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["code"] == code

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -58,6 +59,40 @@ def test_interfaces_match_on_instances():
         for label, lhs, rhs in rule.instances([2, 3], random.Random(0), 5):
             assert lhs.input_spaces == rhs.input_spaces, (rule.name, label)
             assert lhs.output_spaces == rhs.output_spaces, (rule.name, label)
+
+
+def test_soundness_certifies_the_rule_own_replacement():
+    # a copy rule whose builder copies the wrong point fails its own check
+    wrong = dataclasses.replace(
+        RULES["copy-point"],
+        rhs=lambda b, t: ((b[0], Point(b[0].space, (b[0].index + 1) % b[0].space.dimension)),),
+    )
+    report = check_rule_soundness(wrong, [2, 3])
+    assert not report.passed
+    assert report.instantiations == 5
+    assert report.max_deviation == 1.0
+    assert report.failures[0] == "|S|=2, x=0: deviation 1.000e+00"
+
+
+def test_unmatched_example_is_a_labelled_failure():
+    def family(sizes, rng, n_random):
+        yield "matched", (Point(S, 0),), Comult(S)
+        yield "space differs", (Point(S, 0),), Comult(set_space("T", 3))
+        yield "wrong top", (Point(S, 0),), Counit(S)
+
+    report = check_rule_soundness(dataclasses.replace(RULES["copy-point"], family=family), [2])
+    assert report.to_json_dict()["pass"] is False
+    assert report.instantiations == 3
+    assert report.failures == [
+        "space differs: not matched by its own rule",
+        "wrong top: not matched by its own rule",
+    ]
+
+
+@pytest.mark.parametrize("rule", rules_catalog(), ids=lambda r: r.name)
+def test_apply_rule_matches_every_instance_at_origin(rule):
+    for label, lhs, rhs in rule.instances([2, 3], random.Random(0), 5):
+        assert apply_rule(rule, lhs, (0, 0)) == rhs, label
 
 
 def test_irrep_sum_values_for_z2():
