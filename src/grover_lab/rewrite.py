@@ -224,11 +224,8 @@ def _cleanup(d: Diagram) -> Diagram:
     slices = []
     for sl in d.slices:
         sl = tuple(g for g in sl if not _is_unit_scalar(g))
-        if sl and all(isinstance(g, Identity) for g in sl):
-            continue
-        if not sl:
-            continue
-        slices.append(sl)
+        if sl and not all(isinstance(g, Identity) for g in sl):
+            slices.append(sl)
     return Diagram(d.input_spaces, d.output_spaces, tuple(slices))
 
 
