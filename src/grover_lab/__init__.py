@@ -28,6 +28,7 @@ from .diagram import (
     Point,
     PointEffect,
     RepBox,
+    Spider,
     Swap,
     TypingReport,
     Unit,

@@ -18,7 +18,7 @@ reports the discrepancy and never asserts the two agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -87,6 +87,11 @@ def paper_amplitude(N: float, k: Optional[float] = None) -> PaperAmplitude:
     return PaperAmplitude(float(N), float(k), two_summand, simplified)
 
 
+def _ratio(r: Optional[float]):
+    """A ratio as strict JSON can hold it: infinity becomes the string "inf"."""
+    return "inf" if r is not None and math.isinf(r) else r
+
+
 @dataclass
 class ClaimRecord:
     n: int
@@ -99,21 +104,7 @@ class ClaimRecord:
     marked_ge_half: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
-        def ratio(r):
-            if r is None:
-                return None
-            return "inf" if math.isinf(r) else r
-
-        return {
-            "n": self.n,
-            "A": self.A,
-            "A_squared": self.A_squared,
-            "total_unmarked": self.total_unmarked,
-            "simulator_marked": self.simulator_marked,
-            "simulator_unmarked_each": self.simulator_unmarked_each,
-            "discrepancy_ratio": ratio(self.discrepancy_ratio),
-            "marked_ge_half": self.marked_ge_half,
-        }
+        return {**asdict(self), "discrepancy_ratio": _ratio(self.discrepancy_ratio)}
 
 
 @dataclass
@@ -124,12 +115,7 @@ class ClaimsReport:
     verdicts: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "records": [r.to_json_dict() for r in self.records],
-            "verdicts": dict(self.verdicts),
-        }
+        return {**asdict(self), "records": [r.to_json_dict() for r in self.records]}
 
 
 def _discrepancy_ratio(sim_unmarked: float, a_squared: float) -> float:
@@ -138,15 +124,12 @@ def _discrepancy_ratio(sim_unmarked: float, a_squared: float) -> float:
     return sim_unmarked / a_squared
 
 
-def paper_claims_check(
-    n_min: int = 2, n_max: int = 20, simulator_limit: Optional[int] = None
-) -> ClaimsReport:
+def paper_claims_check(n_min: int = 2, n_max: int = 20) -> ClaimsReport:
     """Check the formula-level claims per n and, where the simulator is
     cheap enough, record the measured marked probability as well."""
     if not 2 <= n_min <= n_max <= 64:
         raise InvalidArgumentError("need 2 <= n_min <= n_max <= 64")
-    if simulator_limit is None:
-        simulator_limit = min(SIMULATOR_CHECK_LIMIT, max_qubits())
+    simulator_limit = min(SIMULATOR_CHECK_LIMIT, max_qubits())
 
     report = ClaimsReport(n_min, n_max)
     for n in range(n_min, n_max + 1):
@@ -203,21 +186,7 @@ class ComparisonReport:
     discrepancy_ratio: float
 
     def to_json_dict(self) -> dict:
-        r = self.discrepancy_ratio
-        return {
-            "n": self.n,
-            "k": self.k,
-            "k_mode": self.k_mode,
-            "formula_k": self.formula_k,
-            "simulator_marked": self.simulator_marked,
-            "simulator_unmarked_each": self.simulator_unmarked_each,
-            "diagram_marked": self.diagram_marked,
-            "diagram_unmarked_each": self.diagram_unmarked_each,
-            "diagram_skipped": self.diagram_skipped,
-            "formula_A": self.formula_A,
-            "formula_A_squared": self.formula_A_squared,
-            "discrepancy_ratio": "inf" if math.isinf(r) else r,
-        }
+        return {**asdict(self), "discrepancy_ratio": _ratio(self.discrepancy_ratio)}
 
 
 def compare(n: int, k_mode: str = "paper", marked: Optional[int] = None) -> ComparisonReport:

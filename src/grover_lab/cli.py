@@ -86,10 +86,7 @@ def _cmd_simulate(args) -> None:
     table = grover_run(args.n, f, k, oracle_mode=args.oracle_mode)
     result = table.to_json_dict()
     result.update({"k": k, "mode": args.oracle_mode})
-    rows = [
-        (x, float(p), int(x in f.marked))
-        for x, p in enumerate(table.probabilities)
-    ]
+    rows = ((x, float(p), int(x in f.marked)) for x, p in enumerate(table.probabilities))
     _emit(args, result, ["element", "probability", "is_marked"], rows)
 
 
@@ -135,7 +132,7 @@ def _cmd_claims(args) -> None:
         "simulator_unmarked_each",
         "marked_ge_half",
     ]
-    rows = [tuple(r.to_json_dict()[c] for c in header) for r in report.records]
+    rows = [tuple(r[c] for c in header) for r in result["records"]]
     _emit(args, result, header, rows)
 
 

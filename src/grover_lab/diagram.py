@@ -7,7 +7,8 @@ input spaces.  The empty diagram (no slices, no wires) denotes the scalar 1.
 
 Each generator owns its matrix (:meth:`Generator.to_matrix`) and its adjoint
 (:meth:`Generator.adjoint`); its dataclass fields are all that serialization
-needs.
+needs.  Identity, Mult, Comult, Unit and Counit are the :class:`Spider`
+subclasses; they differ only in their numbers of input and output legs.
 
 All values are immutable; every operation returns a new diagram.
 """
@@ -40,12 +41,17 @@ class Generator:
 
     ``dom`` and ``cod`` are the input and output spaces.  :meth:`to_matrix`
     and :meth:`adjoint` each default to a derivation from the other, so a
-    subclass defines at least one of them.
+    subclass defines at least one of them.  ``variant``, the name that
+    serialization records, is the class name.
     """
 
-    variant: ClassVar[str] = ""
+    variant: ClassVar[str]
     dom: Spaces
     cod: Spaces
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.variant = cls.__name__
 
     def to_matrix(self) -> np.ndarray:
         """Complex matrix of shape (prod cod dims, prod dom dims).
@@ -62,108 +68,65 @@ class Generator:
 
 
 @dataclass(frozen=True)
-class Identity(Generator):
+class Spider(Generator):
+    """The classical structure on ``space`` with ``legs = (inputs, outputs)``,
+    sending |i>^(x)inputs to |i>^(x)outputs and every other basis input to 0.
+    By the spider theorem a connected diagram of spiders is fixed by its leg
+    counts alone, so each subclass declares only its ``legs``.  The adjoint
+    is the subclass with the legs reversed.
+    """
+
     space: SpaceLabel
-    variant: ClassVar[str] = "Identity"
+    legs: ClassVar[Tuple[int, int]]
 
     @property
     def dom(self):
-        return (self.space,)
+        return (self.space,) * self.legs[0]
 
     @property
     def cod(self):
-        return (self.space,)
+        return (self.space,) * self.legs[1]
 
     def to_matrix(self):
-        return np.eye(self.space.dimension, dtype=complex)
+        if self.legs[1] > self.legs[0]:
+            # the adjoint's transpose keeps the long axis contiguous, which np.dot contracts faster
+            return super().to_matrix()
+        d, n = self.space.dimension, sum(self.legs)
+        m = np.zeros((d,) * n, dtype=complex)
+        m[(np.arange(d),) * n] = 1.0  # 1 where all n wire indices agree
+        return m.reshape(d ** self.legs[1], d ** self.legs[0])
 
     def adjoint(self):
-        return self
+        cls = next(c for c in Spider.__subclasses__() if c.legs == self.legs[::-1])
+        return cls(self.space)
 
 
-@dataclass(frozen=True)
-class Mult(Generator):
+class Identity(Spider):
+    legs = (1, 1)
+
+
+class Mult(Spider):
     """Matching multiplication m: S (x) S -> S, m(|i>(x)|j>) = delta_ij |i>."""
 
-    space: SpaceLabel
-    variant: ClassVar[str] = "Mult"
-
-    @property
-    def dom(self):
-        return (self.space, self.space)
-
-    @property
-    def cod(self):
-        return (self.space,)
-
-    def to_matrix(self):
-        n = self.space.dimension
-        m = np.zeros((n, n * n), dtype=complex)
-        m[np.arange(n), np.arange(n) * (n + 1)] = 1.0
-        return m
-
-    def adjoint(self):
-        return Comult(self.space)
+    legs = (2, 1)
 
 
-@dataclass(frozen=True)
-class Unit(Generator):
+class Unit(Spider):
     """u: 1 -> S, the unnormalized all-ones state sum_i |i>."""
 
-    space: SpaceLabel
-    variant: ClassVar[str] = "Unit"
-
-    @property
-    def dom(self):
-        return ()
-
-    @property
-    def cod(self):
-        return (self.space,)
-
-    def to_matrix(self):
-        return np.ones((self.space.dimension, 1), dtype=complex)
-
-    def adjoint(self):
-        return Counit(self.space)
+    legs = (0, 1)
 
 
-@dataclass(frozen=True)
-class Comult(Generator):
+class Comult(Spider):
     """Copying m†: S -> S (x) S."""
 
-    space: SpaceLabel
-    variant: ClassVar[str] = "Comult"
-
-    @property
-    def dom(self):
-        return (self.space,)
-
-    @property
-    def cod(self):
-        return (self.space, self.space)
-
-    def adjoint(self):
-        return Mult(self.space)
+    legs = (1, 2)
 
 
-@dataclass(frozen=True)
-class Counit(Generator):
+class Counit(Spider):
     """Deletion u†: S -> 1."""
 
-    space: SpaceLabel
-    variant: ClassVar[str] = "Counit"
-
-    @property
-    def dom(self):
-        return (self.space,)
-
-    @property
-    def cod(self):
-        return ()
-
-    def adjoint(self):
-        return Unit(self.space)
+    legs = (1, 0)
 
 
 @dataclass(frozen=True)
@@ -178,7 +141,6 @@ class FunctionBox(Generator):
     domain: SpaceLabel
     codomain: SpaceLabel
     table: Tuple[int, ...]
-    variant: ClassVar[str] = "FunctionBox"
     name: ClassVar[str] = "function"
 
     def __post_init__(self):
@@ -211,7 +173,6 @@ class Point(Generator):
 
     space: SpaceLabel
     index: int
-    variant: ClassVar[str] = "Point"
 
     def __post_init__(self):
         if not 0 <= self.index < self.space.dimension:
@@ -242,7 +203,6 @@ class PointEffect(Generator):
 
     space: SpaceLabel
     index: int
-    variant: ClassVar[str] = "PointEffect"
 
     def __post_init__(self):
         if not 0 <= self.index < self.space.dimension:
@@ -267,7 +227,6 @@ class GroupMult(Generator):
     """Linearized group multiplication G (x) G -> G."""
 
     group: GroupSpec
-    variant: ClassVar[str] = "GroupMult"
     name: ClassVar[str] = "groupmult"
 
     @property
@@ -292,7 +251,6 @@ class GroupUnit(Generator):
     """The group unit e as a state 1 -> G."""
 
     group: GroupSpec
-    variant: ClassVar[str] = "GroupUnit"
 
     @property
     def dom(self):
@@ -318,7 +276,6 @@ class RepBox(Generator):
     group: GroupSpec
     irrep_index: int
     dimension: int = 1
-    variant: ClassVar[str] = "RepBox"
     name: ClassVar[str] = "rep"
 
     def __post_init__(self):
@@ -354,7 +311,6 @@ class CustomBox(Generator):
     dom: Spaces
     cod: Spaces
     matrix: np.ndarray
-    variant: ClassVar[str] = "CustomBox"
 
     def __post_init__(self):
         rows, cols = dims_product(self.cod), dims_product(self.dom)
@@ -386,7 +342,6 @@ class CustomBox(Generator):
 class Swap(Generator):
     left: SpaceLabel
     right: SpaceLabel
-    variant: ClassVar[str] = "Swap"
 
     @property
     def dom(self):

@@ -28,11 +28,19 @@ from .spaces import GroupSpec, SpaceLabel
 
 FORMAT_VERSION = 1
 
-_VARIANTS = {cls.variant: cls for cls in Generator.__subclasses__()}
+
+def _leaves(cls):
+    """The concrete generator classes below ``cls``: a class with subclasses
+    of its own, such as Spider, is not a variant."""
+    subs = cls.__subclasses__()
+    return [leaf for sub in subs for leaf in _leaves(sub)] if subs else [cls]
+
+
+VARIANTS = {cls.variant: cls for cls in _leaves(Generator)}
 # (field name, field type, whether the field has a default) per variant
 _FIELDS = {
     cls: [(f.name, get_type_hints(cls)[f.name], f.default is not MISSING) for f in fields(cls)]
-    for cls in _VARIANTS.values()
+    for cls in VARIANTS.values()
 }
 
 _ENCODE = {
@@ -155,7 +163,7 @@ def _parse_spaces(doc):
 
 def _parse_generator(rec, decode):
     variant = rec.get("variant")
-    cls = _VARIANTS.get(variant)
+    cls = VARIANTS.get(variant)
     if cls is None:
         raise ParseError(f"unknown generator variant {variant!r}")
     try:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -80,8 +79,7 @@ class ProbabilityTable:
 
     @property
     def max_unmarked_probability(self) -> float:
-        unmarked = [p for x, p in enumerate(self.probabilities) if x not in self.marked]
-        return float(max(unmarked)) if unmarked else 0.0
+        return float(np.delete(self.probabilities, self.marked).max(initial=0.0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,8 +91,8 @@ class ProbabilityTable:
         }
 
 
-def uniform_state(n: int, cap: Optional[int] = None) -> StateVector:
-    cap = max_qubits() if cap is None else cap
+def uniform_state(n: int) -> StateVector:
+    cap = max_qubits()
     if n < 1:
         raise InvalidArgumentError("qubit count must be >= 1")
     if n > cap:
@@ -135,17 +133,11 @@ def apply_diffusion(state: StateVector) -> StateVector:
     return StateVector(state.n, 2.0 * mean - state.amplitudes)
 
 
-def grover_run(
-    n: int,
-    f: OracleFunction,
-    k: int,
-    oracle_mode: str = "phase",
-    cap: Optional[int] = None,
-) -> ProbabilityTable:
+def grover_run(n: int, f: OracleFunction, k: int, oracle_mode: str = "phase") -> ProbabilityTable:
     """k Grover iterations from the uniform state; exact probabilities."""
     if k < 0:
         raise InvalidArgumentError("iteration count must be >= 0")
-    state = uniform_state(n, cap=cap)
+    state = uniform_state(n)
     for _ in range(k):
         state = apply_oracle(state, f, mode=oracle_mode)
         state = apply_diffusion(state)

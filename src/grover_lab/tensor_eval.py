@@ -38,11 +38,6 @@ class DenseTensor:
     def cols(self) -> int:
         return self.matrix.shape[1]
 
-    @property
-    def entries(self):
-        """Row-major flat list of entries."""
-        return list(self.matrix.reshape(-1))
-
     def to_json_dict(self) -> dict:
         return {
             "rows": self.rows,

@@ -13,7 +13,6 @@ from grover_lab.diagram import (
     CustomBox,
     Diagram,
     FunctionBox,
-    Generator,
     GroupMult,
     GroupUnit,
     Identity,
@@ -32,6 +31,7 @@ from grover_lab.diagram import (
     validate,
 )
 from grover_lab.errors import DimensionCapError, InvalidGeneratorError, TypeMismatchError
+from grover_lab.serialize import VARIANTS
 from grover_lab.spaces import TRIVIAL, GroupSpec, cyclic_group, set_space
 from grover_lab.tensor_eval import evaluate
 
@@ -184,9 +184,7 @@ ONE_OF_EACH = [
 
 
 def test_one_instance_of_each_generator_kind():
-    assert sorted(g.variant for g in ONE_OF_EACH) == sorted(
-        cls.variant for cls in Generator.__subclasses__()
-    )
+    assert sorted(g.variant for g in ONE_OF_EACH) == sorted(VARIANTS)
 
 
 @pytest.mark.parametrize("g", ONE_OF_EACH, ids=lambda g: g.variant)
@@ -197,6 +195,47 @@ def test_adjoint_matrix_is_conjugate_transpose(g):
     adj = g.adjoint()
     assert (adj.dom, adj.cod) == (g.cod, g.dom)
     assert np.array_equal(adj.to_matrix(), m.conj().T)
+
+
+SPIDER_LEGS = [(Identity, (1, 1)), (Mult, (2, 1)), (Unit, (0, 1)), (Comult, (1, 2)), (Counit, (1, 0))]
+SPIDERS = [cls for cls, _ in SPIDER_LEGS]
+SPIDER_IDS = [cls.variant for cls in SPIDERS]
+
+
+def _digits(x, d, k):
+    return [x // d**j % d for j in range(k)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("cls, legs", SPIDER_LEGS, ids=SPIDER_IDS)
+def test_spider_matrix_is_the_delta_tensor(cls, legs, d):
+    space = TRIVIAL if d == 1 else set_space("S", d)
+    inputs, outputs = legs
+    want = np.zeros((d**outputs, d**inputs))
+    for row in range(d**outputs):
+        for col in range(d**inputs):
+            # 1 exactly when every output and input index is the same element
+            if len(set(_digits(row, d, outputs) + _digits(col, d, inputs))) == 1:
+                want[row, col] = 1
+    g = cls(space)
+    assert cls.legs == legs
+    assert (g.dom, g.cod) == ((space,) * inputs, (space,) * outputs)
+    assert np.array_equal(g.to_matrix(), want)
+
+
+@pytest.mark.parametrize("cls, legs", SPIDER_LEGS, ids=SPIDER_IDS)
+def test_spider_adjoint_reverses_the_legs(cls, legs):
+    s = set_space("S", 3)
+    adj = cls(s).adjoint()
+    reversed_cls = next(c for c, l in SPIDER_LEGS if l == legs[::-1])
+    assert (type(adj), adj.space) == (reversed_cls, s)
+    assert adj.adjoint() == cls(s)
+
+
+def test_spiders_differ_by_their_legs():
+    s = set_space("S", 2)  # Mult and Comult, or Unit and Counit, share their one field
+    for a, b in itertools.combinations(SPIDERS, 2):
+        assert a(s) != b(s)
 
 
 def test_default_adjoint_names():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from grover_lab.diagram import (
     Diagram,
-    Generator,
     GroupMult,
     Identity,
     RepBox,
@@ -23,7 +22,14 @@ from grover_lab.errors import (
     ParseError,
 )
 from grover_lab.grover_diagram import build_grover_diagram, indicator_box, register_space
-from grover_lab.serialize import dumps, dumps_canonical, from_document, loads, to_document
+from grover_lab.serialize import (
+    VARIANTS,
+    dumps,
+    dumps_canonical,
+    from_document,
+    loads,
+    to_document,
+)
 from grover_lab.spaces import Z2, cyclic_group, set_space
 
 
@@ -187,9 +193,15 @@ def _document(record, names):
 
 
 def test_records_cover_every_variant():
-    assert sorted(json.loads(r)["variant"] for r, _ in RECORDS) == sorted(
-        cls.variant for cls in Generator.__subclasses__()
-    )
+    assert sorted(json.loads(r)["variant"] for r, _ in RECORDS) == sorted(VARIANTS)
+
+
+@pytest.mark.parametrize("variant", ["Spider", "Generator"])
+def test_abstract_generator_classes_are_not_variants(variant):
+    rec = {"variant": variant, "space": "S"}
+    with pytest.raises(ParseError, match="unknown generator variant") as exc:
+        from_document(_document(rec, ["S"]))
+    assert exc.value.code == "parse-error"
 
 
 @pytest.mark.parametrize(

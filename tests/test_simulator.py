@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from grover_lab.errors import DimensionCapError, InvalidArgumentError
 from grover_lab.simulator import (
     OracleFunction,
+    ProbabilityTable,
     StateVector,
     apply_diffusion,
     apply_oracle,
@@ -144,6 +145,20 @@ def test_ancilla_mode_full_run_matches_phase_mode():
         a = grover_run(3, OracleFunction.single(3, 5), k, oracle_mode="phase")
         b = grover_run(3, OracleFunction.single(3, 5), k, oracle_mode="ancilla")
         assert_close(a.probabilities, b.probabilities)
+
+
+def test_max_unmarked_probability_matches_a_loop():
+    rng = np.random.default_rng(5)
+    probs = rng.random(16)
+    probs[9] = 2.0  # the largest entry is marked, so it must be skipped
+    table = ProbabilityTable(4, probs, (0, 3, 9, 15))
+    want = max(p for x, p in enumerate(probs) if x not in (0, 3, 9, 15))
+    assert table.max_unmarked_probability == want
+
+
+def test_max_unmarked_probability_with_every_element_marked():
+    table = grover_run(1, OracleFunction(1, frozenset({0, 1})), 1)
+    assert table.max_unmarked_probability == 0.0
 
 
 def test_closed_form_values():
