@@ -15,6 +15,7 @@ All values are immutable; every operation returns a new diagram.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Tuple
@@ -407,14 +408,9 @@ def identity_diagram(spaces) -> Diagram:
 
 
 def _first_mismatch(expected: Spaces, found: Spaces):
-    for pos, (e, f) in enumerate(zip(expected, found)):
+    for pos, (e, f) in enumerate(itertools.zip_longest(expected, found)):
         if e != f:
             return pos, e, f
-    if len(expected) != len(found):
-        pos = min(len(expected), len(found))
-        e = expected[pos] if pos < len(expected) else None
-        f = found[pos] if pos < len(found) else None
-        return pos, e, f
     return None
 
 
@@ -480,25 +476,13 @@ def validate(d: Diagram) -> TypingReport:
 
     Mismatches are reported with the slice index *above* the offending
     boundary (index 0 means the diagram's declared inputs disagree with the
-    first slice).
+    first slice, or with its declared outputs if it has no slices).
     """
     report = TypingReport()
-    if not d.slices:
-        mm = _first_mismatch(d.input_spaces, d.output_spaces)
-        if mm is not None:
-            report.mismatches.append(WireMismatch(0, mm[0], mm[1], mm[2]))
-        return report
-
-    boundaries = [(0, d.input_spaces, slice_dom(d.slices[0]))]
-    for k in range(len(d.slices) - 1):
-        boundaries.append((k + 1, slice_cod(d.slices[k]), slice_dom(d.slices[k + 1])))
-    boundaries.append((len(d.slices), slice_cod(d.slices[-1]), d.output_spaces))
-
-    for idx, expected, found in boundaries:
-        n = max(len(expected), len(found))
-        for pos in range(n):
-            e = expected[pos] if pos < len(expected) else None
-            f = found[pos] if pos < len(found) else None
+    below = [d.input_spaces] + [slice_cod(sl) for sl in d.slices]
+    above = [slice_dom(sl) for sl in d.slices] + [d.output_spaces]
+    for idx, (expected, found) in enumerate(zip(below, above)):
+        for pos, (e, f) in enumerate(itertools.zip_longest(expected, found)):
             if e != f:
                 report.mismatches.append(WireMismatch(idx, pos, e, f))
     return report

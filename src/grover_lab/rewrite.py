@@ -1,11 +1,12 @@
 """Local rewrite rules over sliced diagrams, with a soundness harness.
 
 A rule rewrites a two-slice fragment: a contiguous run of generators in the
-lower slice (the bottom) and the one generator in the slice above that
-consumes exactly their output wires (the top).  Each rule is data: the
+lower slice (the bottom) and the one generator in the slice above whose
+inputs are exactly their output wires (the top).  Each rule is data: the
 generator classes of its bottom run and of its top, a guard on the pair
 (equal spaces, equal groups), a builder for the replacement slices, and a
-family of concrete examples.  One matcher and one splice serve all rules.
+family of concrete examples.  One scan finds the matches of every rule for
+every caller, and one splice performs them.
 
 Rules are schematic (parametric in the space, the point, the function, the
 group).  :func:`check_rule_soundness` certifies a rule on its family: each
@@ -39,6 +40,7 @@ from .diagram import (
     RepBox,
     Unit,
     scalar_box,
+    slice_cod,
     slice_dom,
 )
 from .errors import InvalidArgumentError, NoMatchError
@@ -81,25 +83,13 @@ class RewriteRule:
     def fits_bottom(self, bottom: Run) -> bool:
         return len(bottom) == len(self.bottom) and all(map(isinstance, bottom, self.bottom))
 
-    def match(self, bottom: Run, top: Run) -> Optional[Replacement]:
-        """The replacement for a bottom run and the top run above it, or
-        None if the rule does not apply."""
-        if (
-            self.fits_bottom(bottom)
-            and len(top) == 1
-            and isinstance(top[0], self.top)
-            and self.guard(bottom, top[0])
-        ):
-            return self.rhs(bottom, top[0])
-        return None
-
     def instances(self, sizes, rng: random.Random, n_random: int):
         """(label, lhs, rhs) for each example; rhs is lhs rewritten by this
         rule at its first position, or None where the rule does not match."""
         out = []
         for label, bottom, top in self.family(list(sizes), rng, n_random):
             lhs = Diagram(slice_dom(bottom), top.cod, (tuple(bottom), (top,)))
-            m = _try_match(self, lhs, 0, 0)
+            m = next(_matches(self, lhs, [0]), None)
             out.append((label, lhs, None if m is None else _splice(lhs, m)))
         return out
 
@@ -151,63 +141,45 @@ class SoundnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _cod_window(sl, j, w):
-    a = sum(len(g.cod) for g in sl[:j])
-    return a, a + sum(len(g.cod) for g in sl[j : j + w])
-
-
-def _find_top_run(next_slice, a, b):
-    """Run of generators in the slice above whose inputs cover exactly the
-    wire window [a, b).  Zero-input generators count only when strictly
-    inside the window.  Returns (start index, stop index) or None."""
-    sel = []
-    pos = 0
-    for idx, g in enumerate(next_slice):
-        lo, hi = pos, pos + len(g.dom)
-        pos = hi
-        if lo == hi:
-            inside = a < lo < b
-        else:
-            inside = a <= lo and hi <= b
-            if not inside and lo < b and hi > a:
-                return None  # generator straddles the window boundary
-        if inside:
-            sel.append((idx, lo, hi))
-    if a == b or not sel:
-        return None
-    idxs = [i for i, _, _ in sel]
-    if idxs != list(range(idxs[0], idxs[-1] + 1)):
-        return None
-    if sel[0][1] != a or sel[-1][2] != b:
-        return None
-    return idxs[0], idxs[-1] + 1
-
-
 @dataclass(frozen=True)
 class _Match:
     slice_index: int
     bottom_start: int
-    bottom_stop: int
-    top_start: int
-    top_stop: int
+    bottom: Run
+    top_index: int
     wire_offset: int
     replacement: Replacement
-    fragment_dom: tuple
 
 
 def _try_match(rule: RewriteRule, d: Diagram, i: int, j: int) -> Optional[_Match]:
+    """The match of `rule` whose bottom run starts at generator j of slice i,
+    or None.  The top is the one generator of slice i+1 whose inputs are
+    exactly the bottom's output wires, which start at wire offset a."""
     sl = d.slices[i]
     bottom = sl[j : j + len(rule.bottom)]
     if i + 1 >= len(d.slices) or not rule.fits_bottom(bottom):
         return None
-    a, b = _cod_window(sl, j, len(bottom))
-    run = _find_top_run(d.slices[i + 1], a, b)
-    if run is None:
-        return None
-    repl = rule.match(bottom, d.slices[i + 1][run[0] : run[1]])
-    if repl is None:
-        return None
-    return _Match(i, j, j + len(bottom), run[0], run[1], a, repl, slice_dom(bottom))
+    a = len(slice_cod(sl[:j]))
+    pos = 0
+    for t, top in enumerate(d.slices[i + 1]):
+        if pos > a:
+            return None
+        if pos == a and top.dom:  # zero-input generators at offset a are skipped
+            if len(top.dom) == len(slice_cod(bottom)) and isinstance(top, rule.top):
+                if rule.guard(bottom, top):
+                    return _Match(i, j, bottom, t, a, rule.rhs(bottom, top))
+            return None
+        pos += len(top.dom)
+    return None
+
+
+def _matches(rule: RewriteRule, d: Diagram, slice_indices):
+    """Every match of `rule` in the given slices, bottom-up and left to right."""
+    for i in slice_indices:
+        for j in range(len(d.slices[i])):
+            m = _try_match(rule, d, i, j)
+            if m is not None:
+                yield m
 
 
 def _is_unit_scalar(g: Generator) -> bool:
@@ -233,12 +205,12 @@ def _splice(d: Diagram, m: _Match) -> Diagram:
     repl = m.replacement
     if len(repl) == 1:
         # a single replacement slice goes on top; wires pass through below
-        repl = (tuple(Identity(s) for s in m.fragment_dom),) + repl
+        repl = (tuple(Identity(s) for s in slice_dom(m.bottom)),) + repl
     bot_repl, top_repl = repl or ((), ())
-    i = m.slice_index
+    i, j, t = m.slice_index, m.bottom_start, m.top_index
     lower, upper = d.slices[i], d.slices[i + 1]
-    new_bot = lower[: m.bottom_start] + bot_repl + lower[m.bottom_stop :]
-    new_top = upper[: m.top_start] + top_repl + upper[m.top_stop :]
+    new_bot = lower[:j] + bot_repl + lower[j + len(m.bottom) :]
+    new_top = upper[:t] + top_repl + upper[t + 1 :]
     slices = d.slices[:i] + (new_bot, new_top) + d.slices[i + 2 :]
     return _cleanup(Diagram(d.input_spaces, d.output_spaces, slices))
 
@@ -249,23 +221,17 @@ def apply_rule(rule: RewriteRule, d: Diagram, at: Tuple[int, int]) -> Diagram:
     i, offset = at
     if not 0 <= i < len(d.slices):
         raise NoMatchError(f"slice index {i} out of range")
-    for j in range(len(d.slices[i]) - len(rule.bottom) + 1):
-        a, _ = _cod_window(d.slices[i], j, len(rule.bottom))
-        if a != offset:
-            continue
-        m = _try_match(rule, d, i, j)
-        if m is not None:
-            return _splice(d, m)
-    raise NoMatchError(f"rule {rule.name} does not match at slice {i}, wire {offset}")
+    m = next((m for m in _matches(rule, d, [i]) if m.wire_offset == offset), None)
+    if m is None:
+        raise NoMatchError(f"rule {rule.name} does not match at slice {i}, wire {offset}")
+    return _splice(d, m)
 
 
 def _first_match(catalog, d: Diagram):
     for rule in catalog:
-        for i, sl in enumerate(d.slices):
-            for j in range(len(sl)):
-                m = _try_match(rule, d, i, j)
-                if m is not None:
-                    return rule, m
+        m = next(_matches(rule, d, range(len(d.slices))), None)
+        if m is not None:
+            return rule, m
     return None, None
 
 

@@ -58,12 +58,20 @@ def _decoders(spaces, groups):
         SpaceLabel: spaces.__getitem__,
         GroupSpec: groups.__getitem__,
         Spaces: lambda names: tuple(spaces[n] for n in names),
-        Tuple[int, ...]: tuple,
+        int: _int,
+        Tuple[int, ...]: lambda vs: tuple(map(_int, vs)),
         np.ndarray: lambda rows: [[_parse_c(x) for x in row] for row in rows],
     }
 
 
 def _same(v):
+    return v
+
+
+def _int(v) -> int:
+    """A JSON integer; floats and booleans are refused."""
+    if type(v) is not int:
+        raise ParseError(f"expected an integer, got {v!r}")
     return v
 
 
@@ -143,16 +151,16 @@ def _parse_spaces(doc):
     spaces = {}
     groups = {}
     for rec in doc["spaces"]:
-        s = SpaceLabel(rec["kind"], rec["name"], rec["dimension"])
+        s = SpaceLabel(rec["kind"], rec["name"], _int(rec["dimension"]))
         spaces[s.name] = s
         if "group" in rec and rec["group"] is not None:
             grec = rec["group"]
             chars = grec.get("character_table")
             g = GroupSpec(
                 s.name,
-                grec["order"],
-                tuple(tuple(r) for r in grec["multiplication_table"]),
-                grec["identity_index"],
+                _int(grec["order"]),
+                tuple(tuple(map(_int, r)) for r in grec["multiplication_table"]),
+                _int(grec["identity_index"]),
                 None
                 if chars is None
                 else tuple(tuple(_parse_c(x) for x in row) for row in chars),

@@ -78,6 +78,12 @@ def _random_box(rng, dom, cod):
     return CustomBox(f"b{rng.randrange(10**6)}", tuple(dom), tuple(cod), mat)
 
 
+def _capped(t, out, rest, fallback):
+    """`t` as the next wire of the cut out + [t] + rest, or `fallback` where
+    `t` would widen that cut past DIM_LIMIT."""
+    return t if _dims(out + [t] + rest) <= DIM_LIMIT else fallback
+
+
 def _random_slice(rng, wires):
     gens = []
     out = []
@@ -88,6 +94,8 @@ def _random_slice(rng, wires):
             if s is None:
                 gens.append(_random_box(rng, (), ()))
             else:
+                # the check above admits a 2-state wire, not a 3-state one
+                s = _capped(s, out, wires[i:], SPACE_POOL[0])
                 g = Point(s, rng.randrange(s.dimension)) if rng.random() < 0.5 else Unit(s)
                 gens.append(g)
                 out.append(s)
@@ -112,13 +120,13 @@ def _random_slice(rng, wires):
             gens.append(Counit(s) if rng.random() < 0.5 else PointEffect(s, rng.randrange(s.dimension)))
             i += 1
         elif roll < 0.55:
-            t = rng.choice(SPACE_POOL)
+            t = _capped(rng.choice(SPACE_POOL), out, wires[i + 1 :], s)
             table = tuple(rng.randrange(t.dimension) for _ in range(s.dimension))
             gens.append(FunctionBox(s, t, table))
             out.append(t)
             i += 1
         elif roll < 0.70:
-            t = rng.choice(SPACE_POOL)
+            t = _capped(rng.choice(SPACE_POOL), out, wires[i + 1 :], s)
             gens.append(_random_box(rng, (s,), (t,)))
             out.append(t)
             i += 1

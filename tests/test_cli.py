@@ -154,6 +154,78 @@ def test_type_error_reports_mismatch(tmp_path):
     }
 
 
+def test_type_error_without_slices_lists_every_mismatch(tmp_path):
+    doc = {
+        "version": 1,
+        "spaces": [{"name": n, "kind": "set", "dimension": 2} for n in "ABC"],
+        "inputs": ["A", "B"],
+        "outputs": ["C", "C"],
+        "slices": [],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("diagram-eval", "diagram-normalize"):
+        proc = run_cli(cmd, str(path))
+        assert proc.returncode == 1
+        assert json.loads(proc.stderr)["mismatches"] == [
+            {"slice": 0, "wire": 0, "expected": "A", "found": "C"},
+            {"slice": 0, "wire": 1, "expected": "B", "found": "C"},
+        ]
+
+
+def _one_slice_doc(space, inputs, outputs, record):
+    return {
+        "version": 1,
+        "spaces": [space],
+        "inputs": inputs,
+        "outputs": outputs,
+        "slices": [[record]],
+    }
+
+
+S2 = {"name": "S", "kind": "set", "dimension": 2}
+NON_INTEGER_DOCUMENTS = {
+    "dimension-2.5": _one_slice_doc(
+        dict(S2, dimension=2.5), ["S"], ["S"], {"variant": "Identity", "space": "S"}
+    ),
+    "dimension-true": _one_slice_doc(
+        dict(S2, dimension=True), ["S"], ["S"], {"variant": "Identity", "space": "S"}
+    ),
+    "point-index-float": _one_slice_doc(
+        S2, ["S"], [], {"variant": "PointEffect", "space": "S", "index": 1.0}
+    ),
+    "function-table-float": _one_slice_doc(
+        S2, ["S"], ["S"],
+        {"variant": "FunctionBox", "domain": "S", "codomain": "S", "table": [0.5, 1]},
+    ),
+    "group-table-float": _one_slice_doc(
+        {
+            "name": "Z2", "kind": "group", "dimension": 2,
+            "group": {
+                "order": 2,
+                "multiplication_table": [[0.0, 1.0], [1.0, 0.0]],
+                "identity_index": 0,
+                "character_table": None,
+            },
+        },
+        ["Z2", "Z2"], ["Z2"], {"variant": "GroupMult", "group": "Z2"},
+    ),
+}
+
+
+@pytest.mark.parametrize("doc", NON_INTEGER_DOCUMENTS.values(), ids=NON_INTEGER_DOCUMENTS)
+def test_non_integer_field_is_a_parse_error(doc, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("diagram-eval", "diagram-normalize"):
+        proc = run_cli(cmd, str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        err = json.loads(proc.stderr)
+        assert err["code"] == "parse-error"
+        assert "expected an integer" in err["message"]
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("simulate", "--n", "2", "--marked", "0", "--frobnicate")
     assert proc.returncode == 2

@@ -9,6 +9,7 @@ from grover_lab.diagram import (
     EMPTY,
     Comult,
     Counit,
+    Diagram,
     Identity,
     Mult,
     Point,
@@ -125,6 +126,26 @@ def test_apply_rule_no_match():
         apply_rule(RULES["copy-point"], d, (0, 0))
     with pytest.raises(NoMatchError):
         apply_rule(RULES["delete-point"], d, (0, 3))
+
+
+def test_top_is_found_past_a_zero_input_generator_at_its_offset():
+    # Point(S, 1) takes no inputs and sits at wire 0, left of the Comult
+    d = Diagram((), (S, S, S), ((Point(S, 0),), (Point(S, 1), Comult(S))))
+    final, trace = normalize(d)
+    assert [(s.rule, s.slice_index, s.wire_offset) for s in trace.steps] == [
+        ("copy-point", 0, 0)
+    ]
+    assert final == Diagram((), (S, S, S), ((Point(S, 1), Point(S, 0), Point(S, 0)),))
+
+
+def test_apply_rule_finds_the_bottom_past_a_zero_output_generator_at_its_offset():
+    # Counit(S) has no outputs, so the Point right of it also starts at wire 0
+    d = Diagram((S,), (S, S), ((Counit(S), Point(S, 0)), (Comult(S),)))
+    final, trace = normalize(d)
+    assert [(s.rule, s.slice_index, s.wire_offset) for s in trace.steps] == [
+        ("copy-point", 0, 0)
+    ]
+    assert apply_rule(RULES["copy-point"], d, (0, 0)) == final
 
 
 def test_normalize_copy_then_delete():
