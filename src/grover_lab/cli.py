@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import compare, paper_amplitude, paper_claims_check
 from .diagram import validate
@@ -30,16 +32,85 @@ from .simulator import OracleFunction, grover_run, optimal_iterations
 from .tensor_eval import evaluate
 
 SCHEMA_VERSION = 1
+# Items per write of a streamed float list: enough to amortise the work per
+# chunk, few enough that each chunk's arrays and text stay small.
+CHUNK = 1024
+# Stands for the streamed list inside a JSON document.  Command-line
+# strings cannot hold a NUL, so its JSON form occurs nowhere else.
+_LIST_SLOT = "\0"
 
 
-def _emit_json(args, result) -> None:
-    envelope = {
+def _envelope(args, result) -> dict:
+    return {
         "tool_version": __version__,
         "schema_version": SCHEMA_VERSION,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "result": result,
     }
-    sys.stdout.write(dumps_canonical(envelope))
+
+
+def _emit_json(args, result) -> None:
+    sys.stdout.write(dumps_canonical(_envelope(args, result)))
+
+
+def _float_tokens(values: np.ndarray):
+    """The repr of every float in `values`, as lists of at most CHUNK strings.
+
+    A chunk takes repr once per distinct value in it (a fast-path table has
+    two), told apart by their bits so that -0.0 keeps its sign.  Only
+    chunk-sized arrays are made per chunk: table-sized temporaries, such as
+    np.unique's inverse over the whole table, leave the heap fragmented
+    between requests.  A NaN or infinity raises a coded error before any
+    chunk is made, as strict JSON cannot hold it.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise DomainError(f"result is not finite: {float(values[~finite][0])!r}")
+    return (_chunk_tokens(values[start : start + CHUNK]) for start in range(0, len(values), CHUNK))
+
+
+def _chunk_tokens(chunk: np.ndarray) -> list:
+    bits, inverse = np.unique(chunk.view(np.int64), return_inverse=True)
+    tokens = np.array([repr(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    return tokens[inverse.reshape(-1)].tolist()
+
+
+def _write_json_with_list(out, document, values: np.ndarray) -> None:
+    """Write dumps_canonical(document) with the floats of `values` as the
+    list that stands where `document` holds _LIST_SLOT.  The bytes are those
+    of json.dumps(indent=2, sort_keys=True); the list is written a chunk at
+    a time and never held whole as text or as Python floats."""
+    chunks = _float_tokens(values)
+    head, _, tail = dumps_canonical(document).partition(json.dumps(_LIST_SLOT))
+    if not len(values):
+        out.write(head + "[]" + tail)
+        return
+    line = head[head.rfind("\n") + 1 :]
+    indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+    item = indent + "  "
+    out.write(head + "[")
+    for i, tokens in enumerate(chunks):
+        out.write(("," if i else "") + item)
+        out.write(("," + item).join(tokens))
+    out.write(indent + "]" + tail)
+
+
+def _write_csv_table(out, values: np.ndarray, marked) -> None:
+    """The element,probability,is_marked rows of a probability table, in the
+    bytes _emit_csv prints for them, a chunk at a time."""
+    chunks = _float_tokens(values)
+    flags = np.zeros(len(values), dtype=np.int8)
+    flags[list(marked)] = 1
+    row_ends = np.array([",0\n", ",1\n"], dtype=object)
+    out.write("element,probability,is_marked\n")
+    for start, tokens in zip(range(0, len(values), CHUNK), chunks):
+        stop = start + len(tokens)
+        cells = [","] * (4 * len(tokens))  # element "," probability ",flag\n"
+        cells[::4] = map(str, range(start, stop))
+        cells[2::4] = tokens
+        cells[3::4] = row_ends[flags[start:stop]].tolist()
+        out.write("".join(cells))
 
 
 def _emit_csv(header, rows) -> None:
@@ -84,10 +155,11 @@ def _cmd_simulate(args) -> None:
                 f"--iterations must be an integer, 'paper' or 'optimal', got {args.iterations!r}"
             ) from exc
     table = grover_run(args.n, f, k, oracle_mode=args.oracle_mode)
-    result = table.to_json_dict()
-    result.update({"k": k, "mode": args.oracle_mode})
-    rows = ((x, float(p), int(x in f.marked)) for x, p in enumerate(table.probabilities))
-    _emit(args, result, ["element", "probability", "is_marked"], rows)
+    if args.format == "csv":
+        _write_csv_table(sys.stdout, table.probabilities, table.marked)
+        return
+    result = {**table.summary(), "probabilities": _LIST_SLOT, "k": k, "mode": args.oracle_mode}
+    _write_json_with_list(sys.stdout, _envelope(args, result), table.probabilities)
 
 
 def _cmd_formula(args) -> None:

@@ -81,23 +81,32 @@ class ProbabilityTable:
     def max_unmarked_probability(self) -> float:
         return float(np.delete(self.probabilities, self.marked).max(initial=0.0))
 
-    def to_json_dict(self) -> dict:
+    def summary(self) -> dict:
+        """to_json_dict without the probability list, for writers that
+        print the list themselves."""
         return {
             "n": self.n,
-            "probabilities": [float(p) for p in self.probabilities],
             "marked": sorted(self.marked),
             "marked_probability": self.marked_probability,
             "max_unmarked_probability": self.max_unmarked_probability,
         }
 
+    def to_json_dict(self) -> dict:
+        return {**self.summary(), "probabilities": [float(p) for p in self.probabilities]}
 
-def uniform_state(n: int) -> StateVector:
+
+def _register_size(n: int) -> int:
+    """N = 2^n for an n-qubit register within the simulator cap."""
     cap = max_qubits()
     if n < 1:
         raise InvalidArgumentError("qubit count must be >= 1")
     if n > cap:
         raise DimensionCapError(f"{n} qubits exceeds simulator cap {cap}")
-    amps = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+    return 2**n
+
+
+def uniform_state(n: int) -> StateVector:
+    amps = np.full(_register_size(n), 2.0 ** (-n / 2), dtype=complex)
     return StateVector(n, amps)
 
 
@@ -109,22 +118,27 @@ def apply_oracle(state: StateVector, f: OracleFunction, mode: str = "phase") -> 
     and strips the ancilla again (it stays a product factor).  Both modes
     agree on the register state.
     """
-    if state.n != f.n:
-        raise InvalidArgumentError(
-            f"state has {state.n} qubits but oracle expects {f.n}"
-        )
+    _check_oracle(state.n, f, mode)
     ind = f.indicator()
     if mode == "phase":
         return StateVector(state.n, state.amplitudes * (1 - 2 * ind))
-    if mode == "ancilla":
-        minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-        joint = np.kron(state.amplitudes, minus).reshape(-1, 2)
-        flipped = joint.copy()
-        flip = ind.astype(bool)
-        flipped[flip] = joint[flip, ::-1]  # y -> y xor 1 where f(x) = 1
-        register = flipped @ minus  # project the ancilla back out
-        return StateVector(state.n, register)
-    raise InvalidArgumentError(f"unknown oracle mode {mode!r}")
+    return StateVector(state.n, _ancilla_oracle(state.amplitudes, ind.astype(bool)))
+
+
+def _check_oracle(n: int, f: OracleFunction, mode: str) -> None:
+    if n != f.n:
+        raise InvalidArgumentError(f"state has {n} qubits but oracle expects {f.n}")
+    if mode not in ("phase", "ancilla"):
+        raise InvalidArgumentError(f"unknown oracle mode {mode!r}")
+
+
+def _ancilla_oracle(amplitudes: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """The register after |x>|y> -> |x>|y xor f(x)> with the ancilla in |->;
+    `flip` is f as a boolean array."""
+    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    joint = np.kron(amplitudes, minus).reshape(-1, 2)
+    joint[flip] = joint[flip, ::-1]  # y -> y xor 1 where f(x) = 1
+    return joint @ minus  # project the ancilla back out
 
 
 def apply_diffusion(state: StateVector) -> StateVector:
@@ -134,20 +148,46 @@ def apply_diffusion(state: StateVector) -> StateVector:
 
 
 def grover_run(n: int, f: OracleFunction, k: int, oracle_mode: str = "phase") -> ProbabilityTable:
-    """k Grover iterations from the uniform state; exact probabilities."""
+    """k Grover iterations from the uniform state; exact probabilities.
+
+    From the uniform state every marked amplitude stays equal to every other
+    marked one, and every unmarked one to every other unmarked one.  Phase
+    mode therefore runs two amplitudes: with m of N elements marked, a round
+    takes the marked a to 2*mean + a and the unmarked b to 2*mean - b, where
+    mean = ((N - m)*b - m*a)/N.  It is computed as b - m*(a + b)/N, which
+    keeps exact the rounds the vector computes exactly: with m = N/4 the
+    first round leaves every unmarked amplitude exactly 0.  Ancilla mode
+    runs the whole state vector through the ancilla oracle and the
+    diffusion, and is the reference.
+    """
     if k < 0:
         raise InvalidArgumentError("iteration count must be >= 0")
-    state = uniform_state(n)
+    N = _register_size(n)
+    _check_oracle(n, f, oracle_mode)
+    marked = tuple(sorted(f.marked))
+    if oracle_mode == "ancilla":
+        state = uniform_state(n)
+        flip = f.indicator().astype(bool)
+        for _ in range(k):
+            state = apply_diffusion(StateVector(n, _ancilla_oracle(state.amplitudes, flip)))
+        return ProbabilityTable(n, state.probabilities(), marked)
+    m = len(marked)
+    a = b = 2.0 ** (-n / 2)
     for _ in range(k):
-        state = apply_oracle(state, f, mode=oracle_mode)
-        state = apply_diffusion(state)
-    return ProbabilityTable(n, state.probabilities(), tuple(sorted(f.marked)))
+        mean = b - m * (a + b) / N
+        a, b = 2.0 * mean + a, 2.0 * mean - b
+    probabilities = np.full(N, b * b)
+    probabilities[list(marked)] = a * a
+    return ProbabilityTable(n, probabilities, marked)
 
 
-def closed_form_marked_prob(n: int, k: int) -> float:
-    """Textbook value sin^2((2k+1) * arcsin(2^(-n/2))) for a single marked
-    element; internal oracle for the simulator."""
-    theta = math.asin(2.0 ** (-n / 2))
+def closed_form_marked_prob(n: int, k: int, m: int = 1) -> float:
+    """Marked-set probability sin^2((2k+1)*theta) with sin^2(theta) = m/N
+    after k iterations with m of N = 2^n elements marked (Boyer, Brassard,
+    Hoyer & Tapp); internal oracle for the simulator."""
+    if not 1 <= m <= 2**n:
+        raise InvalidArgumentError(f"need 1 <= m <= 2^n marked elements, got {m}")
+    theta = math.asin(math.sqrt(m) * 2.0 ** (-n / 2))
     return math.sin((2 * k + 1) * theta) ** 2
 
 

@@ -7,6 +7,7 @@ it is used to check.
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -46,6 +47,22 @@ def brute_force_probs(n, marked, k):
     for _ in range(k):
         state = step @ state
     return np.abs(state) ** 2
+
+
+def exact_grover_probs(n, m, k):
+    """(probability of each marked element, of each unmarked element) after
+    k iterations with m of N = 2^n elements marked, as exact Fractions.
+
+    Runs the two-amplitude recurrence on sqrt(N)-scaled amplitudes, which
+    start at 1 and stay rational: the oracle negates the marked amplitude A,
+    and the diffusion maps each amplitude x to 2*mean - x.
+    """
+    N = 2**n
+    A = B = Fraction(1)
+    for _ in range(k):
+        mean = ((N - m) * B - m * A) / N
+        A, B = 2 * mean + A, 2 * mean - B
+    return A * A / N, B * B / N
 
 
 # --- random well-typed diagrams -----------------------------------------

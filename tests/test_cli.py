@@ -1,13 +1,19 @@
+import io
+import itertools
 import json
 import subprocess
 import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
+from grover_lab import __version__, cli
+from grover_lab.errors import DomainError
 from grover_lab.grover_diagram import build_grover_diagram, indicator_box, register_space
 from grover_lab.serialize import dumps
+from grover_lab.simulator import OracleFunction, ProbabilityTable, grover_run, optimal_iterations
 
 CLI = [sys.executable, "-m", "grover_lab.cli"]
 
@@ -286,3 +292,88 @@ def test_env_var_caps_register_size():
     proc = run_cli("simulate", "--n", "4", "--marked", "0", env=env)
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["code"] == "cap-exceeded"
+
+
+# --- the streamed probability writer ----------------------------------------
+
+
+def _in_process(argv, capsys):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _reference_json(argv):
+    """json.dumps of the envelope, with the probability list as Python floats."""
+    args = cli.build_parser().parse_args(argv)
+    counts = optimal_iterations(args.n)
+    k = {"paper": counts.paper_mode, "optimal": counts.optimal_mode}.get(args.iterations)
+    k = int(args.iterations) if k is None else k
+    f = OracleFunction(args.n, frozenset(int(x) for x in args.marked.split(",")))
+    table = grover_run(args.n, f, k, oracle_mode=args.oracle_mode)
+    config = {key: v for key, v in vars(args).items() if key != "func"}
+    result = {**table.to_json_dict(), "k": k, "mode": args.oracle_mode}
+    envelope = {"tool_version": __version__, "schema_version": 1, "config": config, "result": result}
+    return json.dumps(envelope, sort_keys=True, indent=2) + "\n", table
+
+
+def _reference_csv(table):
+    """The per-cell CSV rendering: repr of each float, str of each int."""
+    rows = ["element,probability,is_marked"]
+    for x, p in enumerate(table.probabilities):
+        rows.append(f"{x},{float(p)!r},{int(x in table.marked)}")
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_simulate_output_equals_json_dumps_and_per_cell_csv(n, capsys):
+    marked_sets = {"0", str(2**n - 1), "1,2" if n > 1 else "0,1", "0,1,2,3" if n > 1 else "1"}
+    for marked, it, mode in itertools.product(
+        sorted(marked_sets), ("paper", "optimal", "0", "3"), ("phase", "ancilla")
+    ):
+        argv = ["simulate", "--n", str(n), "--marked", marked, "--iterations", it, "--oracle-mode", mode]
+        want_json, table = _reference_json(argv)
+        assert _in_process(argv, capsys) == (0, want_json, "")
+        assert _in_process(argv + ["--format", "csv"], capsys) == (0, _reference_csv(table), "")
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 6, 7])
+def test_writer_at_chunk_edges(size, monkeypatch):
+    """Empty, one-element and chunk-boundary lists, with chunks of three."""
+    monkeypatch.setattr(cli, "CHUNK", 3)
+    values = np.array([0.25, -0.0, 0.0, 1e-300, 0.25, 3.0, 2.5e16][:size])
+    doc = {"b": {"probabilities": cli._LIST_SLOT, "z": [1, 2]}, "a": 1}
+    out = io.StringIO()
+    cli._write_json_with_list(out, doc, values)
+    want = {"b": {"probabilities": [float(v) for v in values], "z": [1, 2]}, "a": 1}
+    assert out.getvalue() == json.dumps(want, sort_keys=True, indent=2) + "\n"
+    out = io.StringIO()
+    cli._write_csv_table(out, values, [x for x in (0, 4) if x < size])
+    rows = [f"{x},{float(v)!r},{int(x in (0, 4))}" for x, v in enumerate(values)]
+    assert out.getvalue() == "\n".join(["element,probability,is_marked", *rows]) + "\n"
+
+
+def test_writer_with_every_value_distinct():
+    values = np.random.default_rng(3).random(3 * cli.CHUNK + 5)
+    out = io.StringIO()
+    cli._write_json_with_list(out, {"p": cli._LIST_SLOT}, values)
+    assert out.getvalue() == json.dumps({"p": values.tolist()}, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_probability_is_a_domain_error(bad, capsys, monkeypatch):
+    values = np.array([0.5, bad, 0.25, 0.25])
+    for write in (
+        lambda out: cli._write_json_with_list(out, {"p": cli._LIST_SLOT}, values),
+        lambda out: cli._write_csv_table(out, values, [0]),
+    ):
+        out = io.StringIO()
+        with pytest.raises(DomainError):
+            write(out)
+        assert out.getvalue() == ""
+
+    monkeypatch.setattr(cli, "grover_run", lambda n, f, k, oracle_mode: ProbabilityTable(2, values, (0,)))
+    for fmt in ("json", "csv"):
+        code, out, err = _in_process(["simulate", "--n", "2", "--marked", "0", "--format", fmt], capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["code"] == "domain-error"

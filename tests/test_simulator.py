@@ -20,7 +20,7 @@ from grover_lab.simulator import (
 )
 
 from conftest import assert_close
-from oracles import brute_force_probs
+from oracles import brute_force_probs, exact_grover_probs
 
 
 def random_state(rng, n):
@@ -159,6 +159,92 @@ def test_max_unmarked_probability_matches_a_loop():
 def test_max_unmarked_probability_with_every_element_marked():
     table = grover_run(1, OracleFunction(1, frozenset({0, 1})), 1)
     assert table.max_unmarked_probability == 0.0
+
+
+def _marked_set(n, m):
+    """m marked elements spread over the register, the last one included."""
+    N = 2**n
+    return frozenset(N - 1 - (j * N) // m for j in range(m))
+
+
+def _iteration_counts(n):
+    counts = optimal_iterations(n)
+    return sorted({0, counts.paper_mode, counts.optimal_mode})
+
+
+def _exact_deviation(table, m, k):
+    """Largest distance of the table's probabilities from the exact ones."""
+    marked_p, unmarked_p = exact_grover_probs(table.n, m, k)
+    want = np.full(2**table.n, float(unmarked_p))
+    want[list(table.marked)] = float(marked_p)
+    return float(np.max(np.abs(table.probabilities - want)))
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_two_amplitude_run_matches_exact_oracle(n):
+    for m in (1, 2, 4):
+        if m > 2**n:
+            continue
+        f = OracleFunction(n, _marked_set(n, m))
+        for k in _iteration_counts(n):
+            assert _exact_deviation(grover_run(n, f, k), m, k) <= 1e-12, (m, k)
+
+
+def test_two_amplitude_run_with_every_element_marked():
+    f = OracleFunction(1, frozenset({0, 1}))
+    for k in range(4):
+        assert _exact_deviation(grover_run(1, f, k), 2, k) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_ancilla_vector_run_matches_exact_oracle(n):
+    for m in (1, 2, 4):
+        if m > 2**n:
+            continue
+        f = OracleFunction(n, _marked_set(n, m))
+        for k in _iteration_counts(n):
+            table = grover_run(n, f, k, oracle_mode="ancilla")
+            assert _exact_deviation(table, m, k) <= 1e-12, (m, k)
+
+
+def test_ancilla_run_builds_the_indicator_once(monkeypatch):
+    calls = []
+    original = OracleFunction.indicator
+    monkeypatch.setattr(OracleFunction, "indicator", lambda f: calls.append(1) or original(f))
+    grover_run(4, OracleFunction.single(4, 5), 6, oracle_mode="ancilla")
+    assert len(calls) == 1
+    calls.clear()
+    grover_run(4, OracleFunction.single(4, 5), 6)
+    assert calls == []
+
+
+def test_grover_run_checks_its_arguments(monkeypatch):
+    f = OracleFunction.single(3, 1)
+    with pytest.raises(InvalidArgumentError):
+        grover_run(3, f, -1)
+    for k in (0, 2):
+        with pytest.raises(InvalidArgumentError):
+            grover_run(4, f, k)
+        with pytest.raises(InvalidArgumentError):
+            grover_run(3, f, k, oracle_mode="frobnicate")
+    with pytest.raises(InvalidArgumentError):
+        grover_run(0, f, 1)
+    monkeypatch.setenv("GROVER_LAB_MAX_QUBITS", "2")
+    with pytest.raises(DimensionCapError):
+        grover_run(3, f, 1)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (5, 4), (8, 2), (12, 4), (20, 4)])
+def test_closed_form_with_several_marked_elements(n, m):
+    for k in _iteration_counts(n):
+        marked_p, _ = exact_grover_probs(n, m, k)
+        assert closed_form_marked_prob(n, k, m) == pytest.approx(float(m * marked_p), abs=1e-12)
+
+
+def test_closed_form_marked_count_domain():
+    for m in (0, 9):
+        with pytest.raises(InvalidArgumentError):
+            closed_form_marked_prob(3, 1, m)
 
 
 def test_closed_form_values():
