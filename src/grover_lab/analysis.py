@@ -124,6 +124,13 @@ def _discrepancy_ratio(sim_unmarked: float, a_squared: float) -> float:
     return sim_unmarked / a_squared
 
 
+def _simulator_values(n: int, k: int, x0: int) -> tuple:
+    """The simulator's probabilities of the marked x0 and of each unmarked
+    element, both read off its table: (1 - p)/(N - 1) cancels near p = 1."""
+    table = grover_run(n, OracleFunction.single(n, x0), k)
+    return table.marked_probability, float(table.probabilities[(x0 + 1) % 2**n])
+
+
 def paper_claims_check(n_min: int = 2, n_max: int = 20) -> ClaimsReport:
     """Check the formula-level claims per n and, where the simulator is
     cheap enough, record the measured marked probability as well."""
@@ -143,12 +150,9 @@ def paper_claims_check(n_min: int = 2, n_max: int = 20) -> ClaimsReport:
         )
         if n <= simulator_limit:
             k = optimal_iterations(n).paper_mode
-            table = grover_run(n, OracleFunction.single(n, 2**n - 1), k)
-            rec.simulator_marked = table.marked_probability
-            unmarked_each = (1.0 - table.marked_probability) / (2**n - 1)
-            rec.simulator_unmarked_each = unmarked_each
-            rec.discrepancy_ratio = _discrepancy_ratio(unmarked_each, amp.squared)
-            rec.marked_ge_half = table.marked_probability >= 0.5
+            rec.simulator_marked, rec.simulator_unmarked_each = _simulator_values(n, k, 2**n - 1)
+            rec.discrepancy_ratio = _discrepancy_ratio(rec.simulator_unmarked_each, amp.squared)
+            rec.marked_ge_half = rec.simulator_marked >= 0.5
         report.records.append(rec)
 
     by_n = {r.n: r for r in report.records}
@@ -200,9 +204,7 @@ def compare(n: int, k_mode: str = "paper", marked: Optional[int] = None) -> Comp
     N = 2**n
     x0 = N - 1 if marked is None else marked
 
-    table = grover_run(n, OracleFunction.single(n, x0), k)
-    sim_marked = table.marked_probability
-    sim_unmarked_each = (1.0 - sim_marked) / (N - 1)
+    sim_marked, sim_unmarked_each = _simulator_values(n, k, x0)
 
     diagram_marked = None
     diagram_unmarked_each = None

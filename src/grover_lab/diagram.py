@@ -89,9 +89,6 @@ class Spider(Generator):
         return (self.space,) * self.legs[1]
 
     def to_matrix(self):
-        if self.legs[1] > self.legs[0]:
-            # the adjoint's transpose keeps the long axis contiguous, which np.dot contracts faster
-            return super().to_matrix()
         d, n = self.space.dimension, sum(self.legs)
         m = np.zeros((d,) * n, dtype=complex)
         m[(np.arange(d),) * n] = 1.0  # 1 where all n wire indices agree
@@ -486,3 +483,14 @@ def validate(d: Diagram) -> TypingReport:
             if e != f:
                 report.mismatches.append(WireMismatch(idx, pos, e, f))
     return report
+
+
+def check_typing(d: Diagram) -> None:
+    """Raise TypeMismatchError, carrying the whole report, if `d` fails typing."""
+    report = validate(d)
+    if not report.ok:
+        mm = report.mismatches[0]
+        raise TypeMismatchError(
+            f"diagram fails typing at slice {mm.slice_index}, wire {mm.wire_position}",
+            report=report,
+        )

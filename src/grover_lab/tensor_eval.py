@@ -1,26 +1,29 @@
 """Functorial evaluation of diagrams to dense complex matrices.
 
 Composition goes to matrix product, side-by-side placement to Kronecker
-product.  Evaluation is strictly slice by slice on a state tensor with one
-axis per current wire and a last axis over the diagram's inputs.  Within a
-slice each non-identity generator is contracted with its own wire axes only
-(``np.tensordot`` then ``np.moveaxis``); identity wires are left untouched,
-so no Kronecker product of a whole slice is ever built.  The dimension cap
-applies to each generator matrix and to each tensor actually allocated.
+product.  Evaluation runs over integer wire labels, on a state tensor of one
+axis per live label.  A spider copies exactly its basis, so all its legs share
+one label; a Unit opens one as an axis of ones.  Every other generator is one
+``np.einsum`` of its matrix with the state.  A label no wire or input carries
+is summed out, and the readout expands wires that share a label.  The cap
+applies to each generator matrix and state tensor before allocation.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagram import Diagram, Generator, Identity, dims_product
-from .errors import DimensionCapError, NotClosedError, TypeMismatchError
-from . import diagram as _diagram
+from .diagram import Diagram, Generator, Spider, check_typing, dims_product
+from .errors import DimensionCapError, NotClosedError
 
 # Cap on the entries of each generator matrix and each tensor evaluate allocates.
 DEFAULT_DIMENSION_CAP = 1 << 24
+# np.einsum names axes 0..51, which bounds the live labels and a generator's legs.
+MAX_LABELS = 52
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,18 +33,11 @@ class DenseTensor:
 
     matrix: np.ndarray
 
-    @property
-    def rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.matrix.shape[1]
-
     def to_json_dict(self) -> dict:
+        rows, cols = self.matrix.shape
         return {
-            "rows": self.rows,
-            "cols": self.cols,
+            "rows": rows,
+            "cols": cols,
             "entries": [[z.real, z.imag] for z in self.matrix.reshape(-1)],
         }
 
@@ -51,45 +47,54 @@ def eval_generator(g: Generator) -> np.ndarray:
     return g.to_matrix()
 
 
-def _apply_slice(t: np.ndarray, sl, cap: int) -> np.ndarray:
-    """Apply one slice to a state tensor of axes (wire_1, ..., wire_k, inputs)."""
-    axis = 0
-    for g in sl:
-        if isinstance(g, Identity):
-            axis += 1
-            continue
-        a, b = len(g.dom), len(g.cod)
-        dom, cod = dims_product(g.dom), dims_product(g.cod)
-        if dom * cod > cap or t.size // dom * cod > cap:
-            raise DimensionCapError("slice tensor exceeds dimension cap")
-        gm = eval_generator(g).reshape([s.dimension for s in g.cod + g.dom])
-        t = np.tensordot(gm, t, axes=(tuple(range(b, b + a)), tuple(range(axis, axis + a))))
-        t = np.moveaxis(t, tuple(range(b)), tuple(range(axis, axis + b)))
-        axis += b
-    return t
-
-
 def evaluate(d: Diagram, cap: int | None = None) -> DenseTensor:
     """Evaluate a diagram; raises if it fails typing or exceeds the cap."""
     cap = DEFAULT_DIMENSION_CAP if cap is None else cap
-    report = _diagram.validate(d)
-    if not report.ok:
-        mm = report.mismatches[0]
-        raise TypeMismatchError(
-            f"diagram fails typing at slice {mm.slice_index}, wire {mm.wire_position}: "
-            f"expected {mm.expected}, found {mm.found}",
-            report=report,
-        )
-    cols = dims_product(d.input_spaces)
-    rows = dims_product(d.output_spaces)
+    check_typing(d)
+    cols, rows = dims_product(d.input_spaces), dims_product(d.output_spaces)
     if rows * cols > cap:
         raise DimensionCapError("diagram interface exceeds dimension cap")
-    if cols * cols > cap:
-        raise DimensionCapError("input identity exceeds dimension cap")
-    t = np.eye(cols, dtype=complex).reshape([s.dimension for s in d.input_spaces] + [cols])
-    for sl in d.slices:
-        t = _apply_slice(t, sl, cap)
-    return DenseTensor(t.reshape(rows, cols))
+    dims = {}  # the dimension of each live label
+
+    def fresh(space):
+        label = min(set(range(len(dims) + 1)) - dims.keys())
+        if label >= MAX_LABELS:
+            raise DimensionCapError(f"a cut needs more than {MAX_LABELS} live wire labels")
+        dims[label] = space.dimension
+        return label
+
+    wires = axes = inputs = [fresh(s) for s in d.input_spaces]  # rebound, never changed in place
+    t = np.ones([dims[x] for x in axes], dtype=complex)
+    # the cut is a queue: a generator takes its inputs from the front, puts its outputs at the back
+    for g in itertools.chain.from_iterable(d.slices):
+        ins, wires = wires[: len(g.dom)], wires[len(g.dom) :]
+        spider = isinstance(g, Spider)
+        if spider:
+            label = ins[0] if ins else fresh(g.space)
+            merged = dict.fromkeys(ins, label)
+            wires, inputs, sub = ([merged.get(x, x) for x in ls] for ls in (wires, inputs, axes))
+            outs, legs = [label] * len(g.cod), [label]
+        else:
+            outs = [fresh(s) for s in g.cod]
+            sub, legs = axes, outs + ins
+        wires = wires + outs
+        live = set(wires) | set(inputs)
+        axes = [x for x in dict.fromkeys(sub + outs) if x in live]
+        if axes != sub or not spider:
+            sizes = (math.prod(dims[x] for x in ls) for ls in (legs, axes))  # operand, new state
+            if max(sizes) > cap or len(legs) > MAX_LABELS:
+                raise DimensionCapError("tensor exceeds dimension cap")
+            op = np.ones(dims[label]) if spider else eval_generator(g)
+            t = np.einsum(op.reshape([dims[x] for x in legs]), legs, t, sub, axes)
+        dims = {x: n for x, n in dims.items() if x in live}
+    # each state entry's flat index in the rows x cols matrix
+    flat, stride = 0, 1
+    for x in reversed(wires + inputs):
+        flat = flat + stride * np.arange(dims[x]).reshape([-1 if y == x else 1 for y in axes])
+        stride *= dims[x]
+    m = np.zeros(rows * cols, dtype=complex)
+    m[flat] = t
+    return DenseTensor(m.reshape(rows, cols))
 
 
 def scalar_of(d: Diagram, cap: int | None = None) -> complex:

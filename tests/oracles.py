@@ -1,8 +1,8 @@
 """Independent oracles and generators shared by the tests.
 
-The brute-force circuit here is deliberately written against plain dense
-matrices so it shares no code with the simulator or the diagram evaluator
-it is used to check.
+The brute-force circuit and the slice-Kronecker evaluation here are
+deliberately written against plain dense matrices so they share no code
+with the simulator or the diagram evaluator they are used to check.
 """
 
 import math
@@ -63,6 +63,18 @@ def exact_grover_probs(n, m, k):
         mean = ((N - m) * B - m * A) / N
         A, B = 2 * mean + A, 2 * mean - B
     return A * A / N, B * B / N
+
+
+def slice_kronecker_matrix(d):
+    """The matrix of a diagram as the product over its slices, bottom first,
+    of the Kronecker product of each slice's generator matrices."""
+    m = np.eye(math.prod(s.dimension for s in d.input_spaces), dtype=complex)
+    for sl in d.slices:
+        k = np.ones((1, 1), dtype=complex)
+        for g in sl:
+            k = np.kron(k, g.to_matrix())
+        m = k @ m
+    return m
 
 
 # --- random well-typed diagrams -----------------------------------------

@@ -16,6 +16,8 @@ from grover_lab.grover_diagram import indicator_box, sigma_sum_diagram
 from grover_lab.spaces import set_space
 from grover_lab.tensor_eval import scalar_of
 
+from oracles import exact_grover_probs
+
 
 def test_sigma_sum_examples():
     assert sigma_sum(4, 1) == 2
@@ -161,6 +163,18 @@ def test_compare_optimal_mode():
     rep = compare(4, k_mode="optimal")
     assert rep.k == 3
     assert rep.simulator_marked > 0.9
+
+
+@pytest.mark.parametrize("k_mode", ["paper", "optimal"])
+def test_simulator_unmarked_each_is_exact_to_1e_12(k_mode):
+    # near the optimum (1 - p)/(N - 1) cancels; the table's own b^2 does not
+    claims = {r.n: r for r in paper_claims_check(2, 12).records}
+    for n in range(2, 13):
+        rep = compare(n, k_mode=k_mode)
+        _, exact = exact_grover_probs(n, 1, rep.k)
+        assert rep.simulator_unmarked_each == pytest.approx(float(exact), rel=1e-12, abs=0)
+        if k_mode == "paper":
+            assert claims[n].simulator_unmarked_each == rep.simulator_unmarked_each
 
 
 def test_compare_rejects_unknown_mode():

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from grover_lab import __version__, cli
+from grover_lab.diagram import identity_diagram
 from grover_lab.errors import DomainError
 from grover_lab.grover_diagram import build_grover_diagram, indicator_box, register_space
 from grover_lab.serialize import dumps
 from grover_lab.simulator import OracleFunction, ProbabilityTable, grover_run, optimal_iterations
+from grover_lab.spaces import set_space
 
 CLI = [sys.executable, "-m", "grover_lab.cli"]
 
@@ -41,6 +43,14 @@ def diagram_file(tmp_path):
     d = build_grover_diagram(2, indicator_box(s, {3}), 1)
     path = tmp_path / "grover2.json"
     path.write_text(dumps(d))
+    return str(path)
+
+
+@pytest.fixture
+def wide_file(tmp_path):
+    """A document whose first slice has 70 wires of a one-dimensional set."""
+    path = tmp_path / "wide.json"
+    path.write_text(dumps(identity_diagram([set_space("W", 1)] * 70)))
     return str(path)
 
 
@@ -123,6 +133,13 @@ def test_rules_check_all_pass():
     assert len(reports) == 12
     assert all(r["pass"] for r in reports)
     assert all(r["max_deviation"] <= 1e-12 for r in reports)
+
+
+def test_rules_check_on_a_40_state_wire():
+    proc = run_cli("rules-check", "--sizes", "40", "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert len(rows) == 12 and all(r.endswith(",True") for r in rows)
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -260,12 +277,13 @@ BAD_NUMBERS = [
     (["rules-check", "--sizes", "1,x"], "invalid-argument"),
     (["diagram-normalize", "{diagram}", "--max-steps", "0"], "invalid-argument"),
     (["diagram-normalize", "{diagram}", "--max-steps", "-3"], "invalid-argument"),
+    (["diagram-eval", "{wide}"], "cap-exceeded"),
 ]
 
 
 @pytest.mark.parametrize("argv, code", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
-def test_bad_number_is_a_coded_error(argv, code, diagram_file):
-    proc = run_cli(*[a.format(diagram=diagram_file) for a in argv])
+def test_bad_number_is_a_coded_error(argv, code, diagram_file, wide_file):
+    proc = run_cli(*[a.format(diagram=diagram_file, wide=wide_file) for a in argv])
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert json.loads(proc.stderr)["code"] == code

@@ -11,7 +11,7 @@ from grover_lab.grover_diagram import (
     register_space,
     sigma_sum_diagram,
 )
-from grover_lab.simulator import OracleFunction, grover_run
+from grover_lab.simulator import OracleFunction, grover_run, optimal_iterations
 from grover_lab.spaces import set_space
 from grover_lab.tensor_eval import evaluate, scalar_of
 
@@ -75,6 +75,18 @@ def test_diagram_matches_simulator_across_k(n):
         probs = np.abs(evaluate(d).matrix[:, 0]) ** 2
         table = grover_run(n, OracleFunction.single(n, x0), k)
         assert_close(probs, table.probabilities, tol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(6, 11))
+@pytest.mark.parametrize("m", [1, 2])
+def test_diagram_matches_ancilla_simulator_at_paper_k(n, m):
+    N = 2**n
+    marked = {N - 1} if m == 1 else {3, N // 2 + 1}
+    k = optimal_iterations(n).paper_mode
+    d = build_grover_diagram(n, indicator_box(register_space(n), marked), k)
+    probs = np.abs(evaluate(d).matrix[:, 0]) ** 2
+    table = grover_run(n, OracleFunction(n, frozenset(marked)), k, oracle_mode="ancilla")
+    assert_close(probs, table.probabilities, tol=1e-10)
 
 
 def test_sigma_sum_diagram_value():

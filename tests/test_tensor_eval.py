@@ -14,18 +14,21 @@ from grover_lab.diagram import (
     Point,
     PointEffect,
     RepBox,
+    Spider,
     Unit,
     compose,
+    dagger,
     identity_diagram,
     make_generator,
     tensor,
 )
 from grover_lab.errors import DimensionCapError, NotClosedError
+from grover_lab.grover_diagram import build_grover_diagram, indicator_box, register_space
 from grover_lab.spaces import Z2, set_space
 from grover_lab.tensor_eval import eval_generator, evaluate, scalar_of
 
 from conftest import assert_close
-from oracles import random_diagram, split_diagram
+from oracles import random_diagram, slice_kronecker_matrix, split_diagram
 
 
 def test_mult_matrix():
@@ -102,7 +105,7 @@ def test_identity_wires_do_not_count_against_the_cap():
     assert_close(evaluate(d).matrix, 64 * 64 * eval_generator(Comult(t)))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 5, 16])
+@pytest.mark.parametrize("dim", [2, 3, 5, 16, 1024])  # Comult on 1024 states is 2^30 entries
 def test_specialness_exact(dim):
     # m after m† is the identity, with exact 0/1 entries
     s = set_space("S", dim)
@@ -137,3 +140,47 @@ def test_monoidality_is_kronecker(seed_a, seed_b):
     b = random_diagram(random.Random(seed_b), max_slices=3)
     t = tensor(a, b)
     assert_close(evaluate(t).matrix, np.kron(evaluate(a).matrix, evaluate(b).matrix))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**6))
+def test_evaluate_matches_the_slice_kronecker_reference(seed):
+    d = random_diagram(random.Random(seed))
+    for dd in (d, dagger(d)):
+        assert_close(evaluate(dd).matrix, slice_kronecker_matrix(dd))
+
+
+def test_evaluate_builds_no_spider_matrix(monkeypatch):
+    s = register_space(4)
+    diagrams = [build_grover_diagram(4, indicator_box(s, {5}), 3)]
+    diagrams += [random_diagram(random.Random(seed)) for seed in range(40)]
+    expected = [slice_kronecker_matrix(d) for d in diagrams]
+
+    def refuse(self):
+        raise AssertionError(f"evaluate built the matrix of {self}")
+
+    monkeypatch.setattr(Spider, "to_matrix", refuse)
+    for d, want in zip(diagrams, expected):
+        assert_close(evaluate(d).matrix, want, tol=1e-10)
+
+
+def test_associativity_on_a_40_state_wire():
+    s = set_space("S", 40)  # an identity on the 64000 input states would exceed the cap
+    ident = identity_diagram([s])
+    left = compose(tensor(make_generator(Mult(s)), ident), make_generator(Mult(s)))
+    right = compose(tensor(ident, make_generator(Mult(s))), make_generator(Mult(s)))
+    m = evaluate(left).matrix
+    assert m.shape == (40, 40**3)
+    assert np.array_equal(m, evaluate(right).matrix)
+    assert np.count_nonzero(m) == 40
+    assert all(m[i, i * 40 * 40 + i * 40 + i] == 1 for i in range(40))
+
+
+def test_a_cut_past_the_einsum_labels_is_a_cap_error():
+    w = set_space("W", 1)
+    with pytest.raises(DimensionCapError, match="52 live wire labels"):
+        evaluate(identity_diagram([w] * 53))
+    assert evaluate(identity_diagram([w] * 52)).matrix.shape == (1, 1)
+    units = Diagram((), (w,) * 60, (tuple(Unit(w) for _ in range(60)),))
+    with pytest.raises(DimensionCapError):
+        evaluate(units)
