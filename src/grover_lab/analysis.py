@@ -124,11 +124,15 @@ def _discrepancy_ratio(sim_unmarked: float, a_squared: float) -> float:
     return sim_unmarked / a_squared
 
 
+def _marked_and_unmarked(probs, x0: int) -> tuple:
+    """The probabilities of the marked x0 and of each unmarked element, both
+    read off the table: (1 - p)/(N - 1) and (sum - p)/(N - 1) cancel near
+    p = 1."""
+    return float(probs[x0]), float(probs[(x0 + 1) % len(probs)])
+
+
 def _simulator_values(n: int, k: int, x0: int) -> tuple:
-    """The simulator's probabilities of the marked x0 and of each unmarked
-    element, both read off its table: (1 - p)/(N - 1) cancels near p = 1."""
-    table = grover_run(n, OracleFunction.single(n, x0), k)
-    return table.marked_probability, float(table.probabilities[(x0 + 1) % 2**n])
+    return _marked_and_unmarked(grover_run(n, OracleFunction.single(n, x0), k).probabilities, x0)
 
 
 def paper_claims_check(n_min: int = 2, n_max: int = 20) -> ClaimsReport:
@@ -193,16 +197,17 @@ class ComparisonReport:
         return {**asdict(self), "discrepancy_ratio": _ratio(self.discrepancy_ratio)}
 
 
-def compare(n: int, k_mode: str = "paper", marked: Optional[int] = None) -> ComparisonReport:
+def compare(n: int, k_mode: str = "paper") -> ComparisonReport:
     """Run the simulator, the diagram evaluation (for n small enough), and
     the closed-form model at matching iteration counts, and report the gaps.
-    Formula-vs-simulator equality is measured, never asserted."""
+    The marked element is 2^n - 1.  Formula-vs-simulator equality is
+    measured, never asserted."""
     if k_mode not in ("paper", "optimal"):
         raise InvalidArgumentError(f"unknown k mode {k_mode!r}")
     counts = optimal_iterations(n)
     k = counts.paper_mode if k_mode == "paper" else counts.optimal_mode
     N = 2**n
-    x0 = N - 1 if marked is None else marked
+    x0 = N - 1
 
     sim_marked, sim_unmarked_each = _simulator_values(n, k, x0)
 
@@ -212,10 +217,8 @@ def compare(n: int, k_mode: str = "paper", marked: Optional[int] = None) -> Comp
     if not skipped:
         space = register_space(n)
         d = build_grover_diagram(n, indicator_box(space, {x0}), k)
-        amps = evaluate(d).matrix[:, 0]
-        probs = np.abs(amps) ** 2
-        diagram_marked = float(probs[x0])
-        diagram_unmarked_each = float((np.sum(probs) - probs[x0]) / (N - 1))
+        probs = np.abs(evaluate(d).matrix[:, 0]) ** 2
+        diagram_marked, diagram_unmarked_each = _marked_and_unmarked(probs, x0)
 
     amp = paper_amplitude(float(N))  # real-valued exponent sqrt(N)
     return ComparisonReport(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +48,6 @@ def _envelope(args, result) -> dict:
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "result": result,
     }
-
-
-def _emit_json(args, result) -> None:
-    sys.stdout.write(dumps_canonical(_envelope(args, result)))
 
 
 def _float_tokens(values: np.ndarray):
@@ -98,7 +95,7 @@ def _write_json_with_list(out, document, values: np.ndarray) -> None:
 
 def _write_csv_table(out, values: np.ndarray, marked) -> None:
     """The element,probability,is_marked rows of a probability table, in the
-    bytes _emit_csv prints for them, a chunk at a time."""
+    bytes _emit prints for such records, a chunk at a time."""
     chunks = _float_tokens(values)
     flags = np.zeros(len(values), dtype=np.int8)
     flags[list(marked)] = 1
@@ -113,17 +110,15 @@ def _write_csv_table(out, values: np.ndarray, marked) -> None:
         out.write("".join(cells))
 
 
-def _emit_csv(header, rows) -> None:
-    out = [",".join(header)]  # str of a float is its repr
-    out.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
-    sys.stdout.write("\n".join(out) + "\n")
-
-
-def _emit(args, result, csv_header=None, csv_rows=None) -> None:
-    if getattr(args, "format", "json") == "csv":
-        _emit_csv(csv_header, csv_rows)
+def _emit(args, result, header=(), records=()) -> None:
+    """Print `result` in the JSON envelope or, for --format csv, the
+    `records` (dicts) as rows of their `header` columns.  A None cell is
+    empty, and str of a float is its repr."""
+    if args.format == "csv":
+        rows = [header] + [["" if r[c] is None else str(r[c]) for c in header] for r in records]
+        sys.stdout.write("".join(",".join(row) + "\n" for row in rows))
     else:
-        _emit_json(args, result)
+        sys.stdout.write(dumps_canonical(_envelope(args, result)))
 
 
 def _parse_marked(raw: str):
@@ -167,43 +162,22 @@ def _cmd_formula(args) -> None:
         except ValueError as exc:
             raise InvalidArgumentError(f"--k must be a number or 'sqrt', got {args.k!r}") from exc
     amp = paper_amplitude(N, k)
-    result = {
-        "N": amp.N,
-        "k": amp.k,
-        "two_summand_value": amp.two_summand_value,
-        "simplified_value": amp.simplified_value,
-        "A": amp.amplitude,
-        "A_squared": amp.squared,
-    }
-    _emit(
-        args,
-        result,
-        ["N", "k", "two_summand_value", "simplified_value", "A", "A_squared"],
-        [tuple(result[c] for c in ("N", "k", "two_summand_value", "simplified_value", "A", "A_squared"))],
-    )
+    result = {**asdict(amp), "A": amp.amplitude, "A_squared": amp.squared}
+    _emit(args, result, list(result), [result])
 
 
 def _cmd_claims(args) -> None:
     report = paper_claims_check(args.n_min, args.n_max)
     result = report.to_json_dict()
-    header = [
-        "n",
-        "A",
-        "A_squared",
-        "total_unmarked",
-        "simulator_marked",
-        "simulator_unmarked_each",
-        "marked_ge_half",
-    ]
-    rows = [tuple(r[c] for c in header) for r in result["records"]]
-    _emit(args, result, header, rows)
+    header = ["n", "A", "A_squared", "total_unmarked", "simulator_marked",
+              "simulator_unmarked_each", "marked_ge_half"]
+    _emit(args, result, header, result["records"])
 
 
 def _cmd_compare(args) -> None:
     report = compare(args.n, k_mode=args.k_mode)
     result = report.to_json_dict()
-    header = sorted(result)
-    _emit(args, result, header, [tuple(result[c] for c in header)])
+    _emit(args, result, sorted(result), [result])
 
 
 def _load_diagram(path: str):
@@ -234,15 +208,10 @@ def _cmd_rules_check(args) -> None:
         raise InvalidArgumentError(
             f"--sizes must be a comma list of integers, got {args.sizes!r}"
         ) from exc
-    reports = [
-        check_rule_soundness(rule, sizes, seed=args.seed) for rule in rules_catalog()
+    records = [
+        check_rule_soundness(rule, sizes, seed=args.seed).to_json_dict() for rule in rules_catalog()
     ]
-    result = {"reports": [r.to_json_dict() for r in reports]}
-    header = ["rule", "instantiations", "max_deviation", "pass"]
-    rows = [
-        (r.rule, r.instantiations, r.max_deviation, r.passed) for r in reports
-    ]
-    _emit(args, result, header, rows)
+    _emit(args, {"reports": records}, ["rule", "instantiations", "max_deviation", "pass"], records)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,49 +222,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("simulate", help="exact state-vector simulation")
+    def command(name, func, about, formats=("json", "csv")):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("--format", choices=formats, default="json")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("simulate", _cmd_simulate, "exact state-vector simulation")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--marked", required=True, help="comma list of marked elements")
     p.add_argument("--iterations", default="paper", help="integer, 'paper' or 'optimal'")
     p.add_argument("--oracle-mode", choices=["phase", "ancilla"], default="phase")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("formula", help="closed-form unmarked amplitude")
+    p = command("formula", _cmd_formula, "closed-form unmarked amplitude")
     p.add_argument("--n", type=int, help="register size as qubit count (N = 2^n)")
     p.add_argument("--N", type=float, help="set size directly")
     p.add_argument("--k", default="sqrt", help="real exponent, or 'sqrt' for sqrt(N)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_formula)
 
-    p = sub.add_parser("claims", help="sweep the formula-level claims over n")
+    p = command("claims", _cmd_claims, "sweep the formula-level claims over n")
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=20)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_claims)
 
-    p = sub.add_parser("compare", help="simulator vs diagram vs formula")
+    p = command("compare", _cmd_compare, "simulator vs diagram vs formula")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k-mode", choices=["paper", "optimal"], default="paper")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("diagram-eval", help="evaluate a serialized diagram")
+    p = command("diagram-eval", _cmd_diagram_eval, "evaluate a serialized diagram", ["json"])
     p.add_argument("path")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(func=_cmd_diagram_eval)
 
-    p = sub.add_parser("diagram-normalize", help="normalize a serialized diagram")
+    p = command("diagram-normalize", _cmd_diagram_normalize, "normalize a serialized diagram",
+                ["json"])
     p.add_argument("path")
     p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--format", choices=["json"], default="json")
-    p.set_defaults(func=_cmd_diagram_normalize)
 
-    p = sub.add_parser("rules-check", help="certify every rewrite rule sound")
+    p = command("rules-check", _cmd_rules_check, "certify every rewrite rule sound")
     p.add_argument("--sizes", default="2,3,4,8")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_rules_check)
 
     return parser
 

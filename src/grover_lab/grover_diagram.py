@@ -29,17 +29,18 @@ from .diagram import (
     tensor,
 )
 from .errors import InvalidArgumentError
-from .spaces import Z2, GroupSpec, SpaceLabel, qubit_register
+from .spaces import Z2, SpaceLabel, qubit_register
 from .tensor_eval import evaluate
 
 SIGN_IRREP = 1  # index of the sign representation in Z2's character table
 
 
-def register_space(n: int, name: str = "S") -> SpaceLabel:
-    return qubit_register(name, n)
+def register_space(n: int) -> SpaceLabel:
+    """The register C[S], |S| = 2^n, as a qubit register named "S"."""
+    return qubit_register("S", n)
 
 
-def indicator_box(space: SpaceLabel, marked, group: GroupSpec = Z2) -> FunctionBox:
+def indicator_box(space: SpaceLabel, marked) -> FunctionBox:
     """The marking function f: S -> Z_2 as a function box."""
     marked = frozenset(marked)
     if not marked:
@@ -47,7 +48,7 @@ def indicator_box(space: SpaceLabel, marked, group: GroupSpec = Z2) -> FunctionB
     if any(not 0 <= x < space.dimension for x in marked):
         raise InvalidArgumentError("marked index out of range")
     table = tuple(1 if i in marked else 0 for i in range(space.dimension))
-    return FunctionBox(space, group.space(), table)
+    return FunctionBox(space, Z2.space(), table)
 
 
 def diffusion_box(space: SpaceLabel) -> CustomBox:
@@ -60,13 +61,13 @@ def diffusion_box(space: SpaceLabel) -> CustomBox:
     return CustomBox("D", (space,), (space,), d)
 
 
-def oracle_diagram(fbox: FunctionBox, group: GroupSpec = Z2) -> Diagram:
+def oracle_diagram(fbox: FunctionBox) -> Diagram:
     """Phase oracle on the register: copy, apply f on the copy, absorb the
     copy through the sign representation."""
     s = fbox.domain
     copy = make_generator(Comult(s))
     apply_f = tensor(make_generator(Identity(s)), make_generator(fbox))
-    sign = tensor(make_generator(Identity(s)), make_generator(RepBox(group, SIGN_IRREP)))
+    sign = tensor(make_generator(Identity(s)), make_generator(RepBox(Z2, SIGN_IRREP)))
     return compose(compose(copy, apply_f), sign)
 
 
@@ -97,10 +98,10 @@ def build_grover_diagram(n: int, fbox: FunctionBox, k: int) -> Diagram:
     return d
 
 
-def sigma_sum_diagram(fbox: FunctionBox, group: GroupSpec = Z2) -> Diagram:
+def sigma_sum_diagram(fbox: FunctionBox) -> Diagram:
     """Closed diagram for sum_{x in S} sigma(f(x)): all-ones state, then f,
     then the sign representation.  Evaluates to |S| - 2*|marked|."""
     s = fbox.domain
     d = make_generator(Unit(s))
     d = compose(d, make_generator(fbox))
-    return compose(d, make_generator(RepBox(group, SIGN_IRREP)))
+    return compose(d, make_generator(RepBox(Z2, SIGN_IRREP)))

@@ -421,7 +421,6 @@ def check_rule_soundness(
     sizes,
     seed: int = 0,
     n_random: int = DEFAULT_RANDOM_INSTANCES,
-    tol: float = SOUNDNESS_TOL,
 ) -> SoundnessReport:
     """Evaluate each example's lhs and the rewrite the rule makes of it, and
     compare entrywise."""
@@ -438,6 +437,6 @@ def check_rule_soundness(
         b = evaluate(rhs).matrix
         dev = float(np.max(np.abs(a - b))) if a.size else 0.0
         max_dev = max(max_dev, dev)
-        if dev > tol:
+        if dev > SOUNDNESS_TOL:
             failures.append(f"{label}: deviation {dev:.3e}")
     return SoundnessReport(rule.name, count, max_dev, not failures, failures)

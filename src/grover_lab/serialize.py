@@ -7,18 +7,21 @@ Document shape:
      "inputs": [space names], "outputs": [space names],
      "slices": [[generator records], ...]}
 
-A generator record carries a "variant" field with the generator class name
-and one field per dataclass field of that class, encoded by the field's
-type: spaces and groups by name, index tables as lists, and a CustomBox
-matrix as rows of [re, im] pairs.  Printing is canonical (sorted keys), so
-parse-then-print is idempotent.
+Every record holds one field per dataclass field of its class, encoded by
+the field's type: spaces and groups by name, index tables as lists, and
+complex numbers (a CustomBox matrix, a character table) as [re, im] pairs.
+A space record is a SpaceLabel's fields plus, on a group wire, the group's
+GroupSpec record, which leaves out the name the space already gives.  A
+generator record adds a "variant" field with the generator class name.
+Parsing checks each field's JSON type.  Printing is canonical (sorted keys),
+so parse-then-print is idempotent.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import MISSING, fields
-from typing import Tuple, get_type_hints
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -37,19 +40,53 @@ def _leaves(cls):
 
 
 VARIANTS = {cls.variant: cls for cls in _leaves(Generator)}
-# (field name, field type, whether the field has a default) per variant
+# (field name, field type, whether the field has a default) per record class.
+# A group record leaves out its name: the space record holding it has one.
 _FIELDS = {
-    cls: [(f.name, get_type_hints(cls)[f.name], f.default is not MISSING) for f in fields(cls)]
-    for cls in VARIANTS.values()
+    cls: [
+        (f.name, get_type_hints(cls)[f.name], f.default is not MISSING)
+        for f in fields(cls)
+        if (cls, f.name) != (GroupSpec, "name")
+    ]
+    for cls in (SpaceLabel, GroupSpec, *VARIANTS.values())
 }
+
+_Table = Tuple[Tuple[int, ...], ...]
+_Characters = Optional[Tuple[Tuple[complex, ...], ...]]
 
 _ENCODE = {
     SpaceLabel: lambda s: s.name,
     GroupSpec: lambda g: g.name,
     Spaces: lambda ss: [s.name for s in ss],
     Tuple[int, ...]: list,
+    _Table: lambda t: [list(r) for r in t],
+    _Characters: lambda t: None if t is None else [[[z.real, z.imag] for z in r] for r in t],
     np.ndarray: lambda m: np.stack((m.real, m.imag), -1).tolist(),
 }
+
+
+def _exactly(tp, what):
+    """A decoder that refuses any JSON value not of type `tp`, such as a
+    float or a boolean where an integer belongs."""
+
+    def decode(v):
+        if type(v) is not tp:
+            raise ParseError(f"expected {what}, got {v!r}")
+        return v
+
+    return decode
+
+
+_int = _exactly(int, "an integer")
+_str = _exactly(str, "a string")
+
+
+def _same(v):
+    return v
+
+
+def _parse_c(v) -> complex:
+    return complex(v[0], v[1])
 
 
 def _decoders(spaces, groups):
@@ -58,29 +95,29 @@ def _decoders(spaces, groups):
         SpaceLabel: spaces.__getitem__,
         GroupSpec: groups.__getitem__,
         Spaces: lambda names: tuple(spaces[n] for n in names),
+        str: _str,
         int: _int,
         Tuple[int, ...]: lambda vs: tuple(map(_int, vs)),
+        _Table: lambda rows: tuple(tuple(map(_int, r)) for r in rows),
+        _Characters: lambda rows: (
+            None if rows is None else tuple(tuple(map(_parse_c, r)) for r in rows)
+        ),
         np.ndarray: lambda rows: [[_parse_c(x) for x in row] for row in rows],
     }
 
 
-def _same(v):
-    return v
+def _record(obj) -> dict:
+    return {name: _ENCODE.get(tp, _same)(getattr(obj, name)) for name, tp, _ in _FIELDS[type(obj)]}
 
 
-def _int(v) -> int:
-    """A JSON integer; floats and booleans are refused."""
-    if type(v) is not int:
-        raise ParseError(f"expected an integer, got {v!r}")
-    return v
-
-
-def _c(z: complex):
-    return [z.real, z.imag]
-
-
-def _parse_c(v) -> complex:
-    return complex(v[0], v[1])
+def _build(cls, rec, decode, **given):
+    """The `cls` instance a record describes; fields in `given` are not read
+    from the record, and a field with a default may be left out of it."""
+    return cls(**given, **{
+        name: decode.get(tp, _same)(rec[name])
+        for name, tp, has_default in _FIELDS[cls]
+        if name in rec or not has_default
+    })
 
 
 def _collect_spaces(d: Diagram):
@@ -115,24 +152,9 @@ def _collect_spaces(d: Diagram):
 
 
 def _space_record(s: SpaceLabel, groups) -> dict:
-    rec = {"name": s.name, "kind": s.kind, "dimension": s.dimension}
+    rec = _record(s)
     if s.name in groups:
-        g = groups[s.name]
-        rec["group"] = {
-            "order": g.order,
-            "multiplication_table": [list(r) for r in g.multiplication_table],
-            "identity_index": g.identity_index,
-            "character_table": None
-            if g.character_table is None
-            else [[_c(x) for x in row] for row in g.character_table],
-        }
-    return rec
-
-
-def _generator_record(g) -> dict:
-    rec = {"variant": g.variant}
-    for name, tp, _ in _FIELDS[type(g)]:
-        rec[name] = _ENCODE.get(tp, _same)(getattr(g, name))
+        rec["group"] = _record(groups[s.name])
     return rec
 
 
@@ -143,30 +165,20 @@ def to_document(d: Diagram) -> dict:
         "spaces": [_space_record(spaces[name], groups) for name in sorted(spaces)],
         "inputs": [s.name for s in d.input_spaces],
         "outputs": [s.name for s in d.output_spaces],
-        "slices": [[_generator_record(g) for g in sl] for sl in d.slices],
+        "slices": [[{"variant": g.variant, **_record(g)} for g in sl] for sl in d.slices],
     }
 
 
-def _parse_spaces(doc):
-    spaces = {}
-    groups = {}
+def _parse_spaces(doc, decode, spaces, groups):
     for rec in doc["spaces"]:
-        s = SpaceLabel(rec["kind"], rec["name"], _int(rec["dimension"]))
+        s = _build(SpaceLabel, rec, decode)
+        if s.name in spaces:
+            raise ParseError(f"two space records share the name {s.name!r}")
         spaces[s.name] = s
-        if "group" in rec and rec["group"] is not None:
-            grec = rec["group"]
-            chars = grec.get("character_table")
-            g = GroupSpec(
-                s.name,
-                _int(grec["order"]),
-                tuple(tuple(map(_int, r)) for r in grec["multiplication_table"]),
-                _int(grec["identity_index"]),
-                None
-                if chars is None
-                else tuple(tuple(_parse_c(x) for x in row) for row in chars),
-            )
-            groups[s.name] = g
-    return spaces, groups
+        if rec.get("group") is not None:
+            g = groups[s.name] = _build(GroupSpec, rec["group"], decode, name=s.name)
+            if g.space() != s:
+                raise ParseError(f"group {s.name!r} of order {g.order} does not fit its space {s}")
 
 
 def _parse_generator(rec, decode):
@@ -175,11 +187,7 @@ def _parse_generator(rec, decode):
     if cls is None:
         raise ParseError(f"unknown generator variant {variant!r}")
     try:
-        return cls(**{
-            name: decode.get(tp, _same)(rec[name])
-            for name, tp, has_default in _FIELDS[cls]
-            if name in rec or not has_default
-        })
+        return _build(cls, rec, decode)
     except KeyError as exc:
         raise ParseError(f"generator record {rec!r} references unknown name {exc}") from exc
 
@@ -189,11 +197,12 @@ def from_document(doc: dict) -> Diagram:
         raise ParseError("document must be a JSON object")
     if doc.get("version") != FORMAT_VERSION:
         raise ParseError(f"unsupported format version {doc.get('version')!r}")
+    spaces, groups = {}, {}
+    decode = _decoders(spaces, groups)
     try:
-        spaces, groups = _parse_spaces(doc)
+        _parse_spaces(doc, decode, spaces, groups)
         inputs = tuple(spaces[name] for name in doc["inputs"])
         outputs = tuple(spaces[name] for name in doc["outputs"])
-        decode = _decoders(spaces, groups)
         slices = tuple(tuple(_parse_generator(rec, decode) for rec in sl) for sl in doc["slices"])
     except ParseError:
         raise

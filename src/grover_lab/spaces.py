@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import InvalidArgumentError
 
@@ -63,9 +63,9 @@ class GroupSpec:
 
     name: str
     order: int
-    multiplication_table: tuple
+    multiplication_table: Tuple[Tuple[int, ...], ...]
     identity_index: int
-    character_table: Optional[tuple] = None
+    character_table: Optional[Tuple[Tuple[complex, ...], ...]] = None
 
     def __post_init__(self):
         n = self.order
@@ -127,26 +127,25 @@ class GroupSpec:
         )
 
 
-def cyclic_group(n: int, name: Optional[str] = None) -> GroupSpec:
-    """Z_n with its n one-dimensional irreps chi_j(k) = exp(2*pi*i*j*k/n)."""
-    if name is None:
-        name = f"Z{n}"
+def cyclic_group(n: int) -> GroupSpec:
+    """Z_n, named "Z<n>", with its n one-dimensional irreps
+    chi_j(k) = exp(2*pi*i*j*k/n)."""
     table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
     omega = 2j * cmath.pi / n
     chars = tuple(
         tuple(_snap(cmath.exp(omega * ((j * k) % n))) for k in range(n))
         for j in range(n)
     )
-    return GroupSpec(name, n, table, 0, chars)
+    return GroupSpec(f"Z{n}", n, table, 0, chars)
 
 
-def _snap(z: complex, tol: float = 1e-12) -> complex:
-    """Snap near-integer real/imaginary parts so that roots of unity like
-    -1 and i come out exact."""
+def _snap(z: complex) -> complex:
+    """Snap real/imaginary parts within 1e-12 of an integer so that roots of
+    unity like -1 and i come out exact."""
 
     def part(x):
         r = round(x)
-        return float(r) if abs(x - r) <= tol else x
+        return float(r) if abs(x - r) <= 1e-12 else x
 
     return complex(part(z.real), part(z.imag))
 

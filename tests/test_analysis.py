@@ -177,6 +177,15 @@ def test_simulator_unmarked_each_is_exact_to_1e_12(k_mode):
             assert claims[n].simulator_unmarked_each == rep.simulator_unmarked_each
 
 
+@pytest.mark.parametrize("k_mode", ["paper", "optimal"])
+def test_diagram_unmarked_each_is_exact_to_2e_14(k_mode):
+    # (sum - p)/(N - 1) read 1.4e-13 off at n = 5, optimal k
+    for n in range(2, 6):
+        rep = compare(n, k_mode=k_mode)
+        _, exact = exact_grover_probs(n, 1, rep.k)
+        assert rep.diagram_unmarked_each == pytest.approx(float(exact), rel=2e-14, abs=0)
+
+
 def test_compare_rejects_unknown_mode():
     with pytest.raises(InvalidArgumentError):
         compare(4, k_mode="banana")

@@ -249,6 +249,57 @@ def test_non_integer_field_is_a_parse_error(doc, tmp_path):
         assert "expected an integer" in err["message"]
 
 
+Z2_CHARACTERS = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]]]
+MALFORMED_DOCUMENTS = {
+    # to_document sorted the names 3 and "S" and raised a TypeError
+    "space-name-not-a-string": {
+        "version": 1,
+        "spaces": [dict(S2, name=3), S2],
+        "inputs": [3, "S"],
+        "outputs": [3, "S"],
+        "slices": [[{"variant": "Identity", "space": 3}, {"variant": "Identity", "space": "S"}]],
+    },
+    # the last record won
+    "space-name-twice": {
+        "version": 1,
+        "spaces": [S2, dict(S2, dimension=3)],
+        "inputs": ["S"],
+        "outputs": ["S"],
+        "slices": [[{"variant": "Identity", "space": "S"}]],
+    },
+    # the generators carried the group's order-2 space, the document another
+    "group-order-not-its-dimension": {
+        "version": 1,
+        "spaces": [{
+            "name": "Z2", "kind": "group", "dimension": 3,
+            "group": {
+                "order": 2,
+                "multiplication_table": [[0, 1], [1, 0]],
+                "identity_index": 0,
+                "character_table": Z2_CHARACTERS,
+            },
+        }],
+        "inputs": [],
+        "outputs": [],
+        "slices": [
+            [{"variant": "GroupUnit", "group": "Z2"}],
+            [{"variant": "RepBox", "group": "Z2", "irrep_index": 1}],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCUMENTS.values(), ids=MALFORMED_DOCUMENTS)
+def test_malformed_space_records_are_a_parse_error(doc, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for cmd in ("diagram-eval", "diagram-normalize"):
+        proc = run_cli(cmd, str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr)["code"] == "parse-error"
+
+
 def test_unknown_flag_exits_2():
     proc = run_cli("simulate", "--n", "2", "--marked", "0", "--frobnicate")
     assert proc.returncode == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from grover_lab.diagram import (
     Diagram,
     GroupMult,
+    GroupUnit,
     Identity,
     RepBox,
     compose,
@@ -51,6 +52,18 @@ def test_group_payload_round_trip():
     box = back.slices[1][0]
     assert box.group.multiplication_table == z4.multiplication_table
     assert box.group.character_table == z4.character_table
+
+
+def test_groups_with_and_without_characters_round_trip():
+    from test_diagram import _s3
+
+    d = tensor(make_generator(GroupMult(cyclic_group(4))), make_generator(GroupUnit(_s3())))
+    text = dumps(d)
+    assert dumps(loads(text)) == text
+    assert loads(text) == d
+    assert [s["group"]["character_table"] is None for s in json.loads(text)["spaces"]] == [
+        True, False
+    ]
 
 
 def test_grover_diagram_round_trip():
