@@ -7,8 +7,10 @@ input spaces.  The empty diagram (no slices, no wires) denotes the scalar 1.
 
 Each generator owns its matrix (:meth:`Generator.to_matrix`) and its adjoint
 (:meth:`Generator.adjoint`); its dataclass fields are all that serialization
-needs.  Identity, Mult, Comult, Unit and Counit are the :class:`Spider`
-subclasses; they differ only in their numbers of input and output legs.
+needs.  Each generator states its wires once, in :meth:`Generator.wires`,
+and keeps them as ``dom`` and ``cod`` from their first read.  Identity,
+Mult, Comult, Unit and Counit are the :class:`Spider` subclasses; they
+differ only in their numbers of input and output legs.
 
 All values are immutable; every operation returns a new diagram.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Optional, Tuple
 
 import numpy as np
@@ -40,19 +43,32 @@ def dims_product(spaces) -> int:
 class Generator:
     """Base class for the atomic boxes a slice is built from.
 
-    ``dom`` and ``cod`` are the input and output spaces.  :meth:`to_matrix`
-    and :meth:`adjoint` each default to a derivation from the other, so a
+    A subclass states its input and output spaces in :meth:`wires`; the
+    first read of ``dom`` or ``cod`` keeps both.  :meth:`to_matrix` and
+    :meth:`adjoint` each default to a derivation from the other, so a
     subclass defines at least one of them.  ``variant``, the name that
     serialization records, is the class name.
     """
 
     variant: ClassVar[str]
-    dom: Spaces
-    cod: Spaces
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.variant = cls.__name__
+
+    def wires(self) -> Tuple[Spaces, Spaces]:
+        """The input and output spaces, ``(dom, cod)``."""
+        raise NotImplementedError
+
+    @cached_property
+    def dom(self) -> Spaces:
+        dom, self.__dict__["cod"] = self.wires()
+        return dom
+
+    @cached_property
+    def cod(self) -> Spaces:
+        self.__dict__["dom"], cod = self.wires()
+        return cod
 
     def to_matrix(self) -> np.ndarray:
         """Complex matrix of shape (prod cod dims, prod dom dims).
@@ -80,13 +96,8 @@ class Spider(Generator):
     space: SpaceLabel
     legs: ClassVar[Tuple[int, int]]
 
-    @property
-    def dom(self):
-        return (self.space,) * self.legs[0]
-
-    @property
-    def cod(self):
-        return (self.space,) * self.legs[1]
+    def wires(self):
+        return (self.space,) * self.legs[0], (self.space,) * self.legs[1]
 
     def to_matrix(self):
         d, n = self.space.dimension, sum(self.legs)
@@ -151,13 +162,8 @@ class FunctionBox(Generator):
             if not 0 <= t < self.codomain.dimension:
                 raise InvalidGeneratorError(f"table entry {t} at {i} out of codomain range")
 
-    @property
-    def dom(self):
-        return (self.domain,)
-
-    @property
-    def cod(self):
-        return (self.codomain,)
+    def wires(self):
+        return (self.domain,), (self.codomain,)
 
     def to_matrix(self):
         m = np.zeros((self.codomain.dimension, self.domain.dimension), dtype=complex)
@@ -178,13 +184,8 @@ class Point(Generator):
                 f"point index {self.index} out of range for dimension {self.space.dimension}"
             )
 
-    @property
-    def dom(self):
-        return ()
-
-    @property
-    def cod(self):
-        return (self.space,)
+    def wires(self):
+        return (), (self.space,)
 
     def to_matrix(self):
         m = np.zeros((self.space.dimension, 1), dtype=complex)
@@ -202,19 +203,10 @@ class PointEffect(Generator):
     space: SpaceLabel
     index: int
 
-    def __post_init__(self):
-        if not 0 <= self.index < self.space.dimension:
-            raise InvalidGeneratorError(
-                f"point index {self.index} out of range for dimension {self.space.dimension}"
-            )
+    __post_init__ = Point.__post_init__
 
-    @property
-    def dom(self):
-        return (self.space,)
-
-    @property
-    def cod(self):
-        return ()
+    def wires(self):
+        return (self.space,), ()
 
     def adjoint(self):
         return Point(self.space, self.index)
@@ -227,14 +219,9 @@ class GroupMult(Generator):
     group: GroupSpec
     name: ClassVar[str] = "groupmult"
 
-    @property
-    def dom(self):
+    def wires(self):
         g = self.group.space()
-        return (g, g)
-
-    @property
-    def cod(self):
-        return (self.group.space(),)
+        return (g, g), (g,)
 
     def to_matrix(self):
         n = self.group.order
@@ -250,16 +237,11 @@ class GroupUnit(Generator):
 
     group: GroupSpec
 
-    @property
-    def dom(self):
-        return ()
-
-    @property
-    def cod(self):
-        return (self.group.space(),)
+    def wires(self):
+        return (), (self.group.space(),)
 
     def adjoint(self):
-        return PointEffect(self.group.space(), self.group.identity_index)
+        return PointEffect(self.cod[0], self.group.identity_index)
 
 
 @dataclass(frozen=True)
@@ -284,13 +266,8 @@ class RepBox(Generator):
         if self.dimension != 1 or self.group.irrep_dimension(self.irrep_index) != 1:
             raise InvalidGeneratorError("only 1-dimensional irreps are supported")
 
-    @property
-    def dom(self):
-        return (self.group.space(),)
-
-    @property
-    def cod(self):
-        return ()
+    def wires(self):
+        return (self.group.space(),), ()
 
     def to_matrix(self):
         return np.array([self.group.character_table[self.irrep_index]], dtype=complex)
@@ -306,9 +283,13 @@ class CustomBox(Generator):
     """
 
     name: str
-    dom: Spaces
-    cod: Spaces
+    # field() keeps dataclass from taking the inherited dom/cod as defaults
+    dom: Spaces = field()
+    cod: Spaces = field()
     matrix: np.ndarray
+
+    def wires(self):
+        return self.dom, self.cod
 
     def __post_init__(self):
         rows, cols = dims_product(self.cod), dims_product(self.dom)
@@ -341,13 +322,8 @@ class Swap(Generator):
     left: SpaceLabel
     right: SpaceLabel
 
-    @property
-    def dom(self):
-        return (self.left, self.right)
-
-    @property
-    def cod(self):
-        return (self.right, self.left)
+    def wires(self):
+        return (self.left, self.right), (self.right, self.left)
 
     def to_matrix(self):
         dl, dr = self.left.dimension, self.right.dimension

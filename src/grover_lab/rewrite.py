@@ -2,11 +2,11 @@
 
 A rule rewrites a two-slice fragment: a contiguous run of generators in the
 lower slice (the bottom) and the one generator in the slice above whose
-inputs are exactly their output wires (the top).  Each rule is data: the
-generator classes of its bottom run and of its top, a guard on the pair
-(equal spaces, equal groups), a builder for the replacement slices, and a
-family of concrete examples.  One scan finds the matches of every rule for
-every caller, and one splice performs them.
+input wires equal their output wires (the top).  Each rule is data: the
+generator classes of its bottom run and of its top, a builder for the
+replacement slices, a family of concrete examples, and an optional guard on
+the pair for what equal wires leave open (equal groups).  One scan finds the
+matches of every rule for every caller, and one splice performs them.
 
 Rules are schematic (parametric in the space, the point, the function, the
 group).  :func:`check_rule_soundness` certifies a rule on its family: each
@@ -65,7 +65,8 @@ Example = Tuple[str, Run, Generator]
 @dataclass(frozen=True, eq=False)
 class RewriteRule:
     """A local law: a `bottom` run of generator classes under one `top`
-    generator, rewritten to `rhs(bottom, top)` wherever `guard` holds.
+    generator whose input wires equal the run's output wires, rewritten to
+    `rhs(bottom, top)` wherever `guard`, if given, holds.
 
     `rhs` returns the replacement slices: none (the fragment vanishes), one
     (placed on top, with identities on the fragment's inputs below) or two
@@ -76,9 +77,9 @@ class RewriteRule:
     name: str
     bottom: Tuple[type, ...]
     top: type
-    guard: Callable[[Run, Generator], bool]
     rhs: Callable[[Run, Generator], Replacement]
     family: Callable[[List[int], random.Random, int], Iterable[Example]]
+    guard: Optional[Callable[[Run, Generator], bool]] = None
 
     def fits_bottom(self, bottom: Run) -> bool:
         return len(bottom) == len(self.bottom) and all(map(isinstance, bottom, self.bottom))
@@ -153,8 +154,8 @@ class _Match:
 
 def _try_match(rule: RewriteRule, d: Diagram, i: int, j: int) -> Optional[_Match]:
     """The match of `rule` whose bottom run starts at generator j of slice i,
-    or None.  The top is the one generator of slice i+1 whose inputs are
-    exactly the bottom's output wires, which start at wire offset a."""
+    or None.  The top is the one generator of slice i+1 whose inputs start
+    at the bottom's first output wire, offset a, and equal its outputs."""
     sl = d.slices[i]
     bottom = sl[j : j + len(rule.bottom)]
     if i + 1 >= len(d.slices) or not rule.fits_bottom(bottom):
@@ -165,8 +166,8 @@ def _try_match(rule: RewriteRule, d: Diagram, i: int, j: int) -> Optional[_Match
         if pos > a:
             return None
         if pos == a and top.dom:  # zero-input generators at offset a are skipped
-            if len(top.dom) == len(slice_cod(bottom)) and isinstance(top, rule.top):
-                if rule.guard(bottom, top):
+            if top.dom == slice_cod(bottom) and isinstance(top, rule.top):
+                if rule.guard is None or rule.guard(bottom, top):
                     return _Match(i, j, bottom, t, a, rule.rhs(bottom, top))
             return None
         pos += len(top.dom)
@@ -269,20 +270,9 @@ def replay(trace: RewriteTrace):
 # ---------------------------------------------------------------------------
 
 
-def _same_space(bottom, top):
-    return all(g.space == top.space for g in bottom)
-
-
-def _onto_codomain(bottom, top):
-    return top.space == bottom[0].codomain
-
-
 def _same_group(bottom, top):
+    """Two groups can share a space label, as a relabelled Z3 does."""
     return top.group == bottom[0].group
-
-
-def _on_group_space(bottom, top):
-    return bottom[0].space.kind == "group" and top.group.space() == bottom[0].space
 
 
 def _inner_product(bottom, top):
@@ -363,50 +353,31 @@ def _irrep_family(bottom):
 
 _CATALOG = [
     RewriteRule(
-        "copy-point", (Point,), Comult, _same_space,
-        lambda b, t: ((b[0], b[0]),), _point_family(Comult),
+        "copy-point", (Point,), Comult, lambda b, t: ((b[0], b[0]),), _point_family(Comult),
     ),
+    RewriteRule("delete-point", (Point,), Counit, lambda b, t: (), _point_family(Counit)),
+    RewriteRule("point-inner-product", (Point,), PointEffect, _inner_product, _point_pairs),
     RewriteRule(
-        "delete-point", (Point,), Counit, _same_space,
-        lambda b, t: (), _point_family(Counit),
-    ),
-    RewriteRule(
-        "point-inner-product", (Point,), PointEffect, _same_space,
-        _inner_product, _point_pairs,
-    ),
-    RewriteRule(
-        "comonoid-hom-copy", (FunctionBox,), Comult, _onto_codomain,
+        "comonoid-hom-copy", (FunctionBox,), Comult,
         lambda b, t: ((Comult(b[0].domain),), (b[0], b[0])), _function_family(Comult),
     ),
     RewriteRule(
-        "comonoid-hom-delete", (FunctionBox,), Counit, _onto_codomain,
+        "comonoid-hom-delete", (FunctionBox,), Counit,
         lambda b, t: ((Counit(b[0].domain),),), _function_family(Counit),
     ),
     RewriteRule(
-        "rep-merge", (GroupMult,), RepBox, _same_group,
-        lambda b, t: ((t, t),), _irrep_family(GroupMult),
+        "rep-merge", (GroupMult,), RepBox,
+        lambda b, t: ((t, t),), _irrep_family(GroupMult), _same_group,
     ),
     RewriteRule(  # chi(e) = 1 for every irrep
-        "rep-at-unit", (GroupUnit,), RepBox, _same_group,
-        lambda b, t: (), _irrep_family(GroupUnit),
+        "rep-at-unit", (GroupUnit,), RepBox,
+        lambda b, t: (), _irrep_family(GroupUnit), _same_group,
     ),
-    RewriteRule(
-        "irrep-sum", (Unit,), RepBox, _on_group_space,
-        _irrep_sum, _irrep_family(lambda g: Unit(g.space())),
-    ),
-    RewriteRule("special", (Comult,), Mult, _same_space, _identity, _mult_family(Comult)),
-    RewriteRule(
-        "unit-left", (Unit, Identity), Mult, _same_space,
-        _identity, _mult_family(Unit, Identity),
-    ),
-    RewriteRule(
-        "unit-right", (Identity, Unit), Mult, _same_space,
-        _identity, _mult_family(Identity, Unit),
-    ),
-    RewriteRule(
-        "associativity", (Mult, Identity), Mult, _same_space,
-        _associate, _mult_family(Mult, Identity),
-    ),
+    RewriteRule("irrep-sum", (Unit,), RepBox, _irrep_sum, _irrep_family(lambda g: Unit(g.space()))),
+    RewriteRule("special", (Comult,), Mult, _identity, _mult_family(Comult)),
+    RewriteRule("unit-left", (Unit, Identity), Mult, _identity, _mult_family(Unit, Identity)),
+    RewriteRule("unit-right", (Identity, Unit), Mult, _identity, _mult_family(Identity, Unit)),
+    RewriteRule("associativity", (Mult, Identity), Mult, _associate, _mult_family(Mult, Identity)),
 ]
 
 

@@ -85,10 +85,6 @@ def _same(v):
     return v
 
 
-def _parse_c(v) -> complex:
-    return complex(v[0], v[1])
-
-
 def _decoders(spaces, groups):
     """Field decoders by type, resolving names against one document."""
     return {
@@ -99,10 +95,11 @@ def _decoders(spaces, groups):
         int: _int,
         Tuple[int, ...]: lambda vs: tuple(map(_int, vs)),
         _Table: lambda rows: tuple(tuple(map(_int, r)) for r in rows),
+        # Unpacking refuses a complex entry that is not exactly [re, im].
         _Characters: lambda rows: (
-            None if rows is None else tuple(tuple(map(_parse_c, r)) for r in rows)
+            None if rows is None else tuple(tuple(complex(re, im) for re, im in r) for r in rows)
         ),
-        np.ndarray: lambda rows: [[_parse_c(x) for x in row] for row in rows],
+        np.ndarray: lambda rows: [[complex(re, im) for re, im in row] for row in rows],
     }
 
 
@@ -208,7 +205,7 @@ def from_document(doc: dict) -> Diagram:
         raise
     except KeyError as exc:
         raise ParseError(f"missing key {exc} in diagram document") from exc
-    except (AttributeError, TypeError, IndexError) as exc:
+    except (AttributeError, TypeError, IndexError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed diagram document: {exc}") from exc
     return Diagram(inputs, outputs, slices)
 

@@ -286,6 +286,30 @@ MALFORMED_DOCUMENTS = {
             [{"variant": "RepBox", "group": "Z2", "irrep_index": 1}],
         ],
     },
+    # the entry after [re, im] was ignored
+    "matrix-entry-not-a-pair": _one_slice_doc(
+        S2, ["S"], [],
+        {"variant": "CustomBox", "name": "b", "dom": ["S"], "cod": [],
+         "matrix": [[[1.0, 0.0], [1.0, 0.0, 7.0]]]},
+    ),
+    # complex() raised an uncoded OverflowError
+    "matrix-entry-beyond-float": _one_slice_doc(
+        S2, ["S"], [],
+        {"variant": "CustomBox", "name": "b", "dom": ["S"], "cod": [],
+         "matrix": [[[10**400, 0.0], [1.0, 0.0]]]},
+    ),
+    "character-entry-not-a-pair": _one_slice_doc(
+        {
+            "name": "Z2", "kind": "group", "dimension": 2,
+            "group": {
+                "order": 2,
+                "multiplication_table": [[0, 1], [1, 0]],
+                "identity_index": 0,
+                "character_table": [Z2_CHARACTERS[0], [[1.0, 0.0], [-1.0, 0.0, 7.0]]],
+            },
+        },
+        ["Z2"], [], {"variant": "RepBox", "group": "Z2", "irrep_index": 1},
+    ),
 }
 
 
@@ -361,6 +385,15 @@ def test_env_var_caps_register_size():
     proc = run_cli("simulate", "--n", "4", "--marked", "0", env=env)
     assert proc.returncode == 1
     assert json.loads(proc.stderr)["code"] == "cap-exceeded"
+
+
+def test_successive_in_process_calls_print_what_each_prints_alone(capsys):
+    argvs = [["compare", "--n", "3"], ["formula", "--n", "4"],
+             ["simulate", "--n", "3", "--marked", "5", "--format", "csv"]]
+    alone = [run_cli(*argv).stdout for argv in argvs]
+    for argv, want in zip(argvs, alone):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
 
 
 # --- the streamed probability writer ----------------------------------------

@@ -56,8 +56,9 @@ def test_identity_on_trivial_space_is_empty_diagram():
 
 
 def test_point_index_out_of_range():
-    with pytest.raises(InvalidGeneratorError):
-        Point(S, 3)
+    for cls in (Point, PointEffect):
+        with pytest.raises(InvalidGeneratorError):
+            cls(S, 3)
 
 
 def test_compose_point_then_counit_is_scalar_one():
@@ -205,6 +206,12 @@ ONE_OF_EACH = [
 
 def test_one_instance_of_each_generator_kind():
     assert sorted(g.variant for g in ONE_OF_EACH) == sorted(VARIANTS)
+
+
+@pytest.mark.parametrize("g", ONE_OF_EACH, ids=lambda g: g.variant)
+def test_wires_are_stated_once_and_kept(g):
+    assert (g.dom, g.cod) == g.wires()
+    assert g.dom is g.dom and g.cod is g.cod
 
 
 @pytest.mark.parametrize("g", ONE_OF_EACH, ids=lambda g: g.variant)

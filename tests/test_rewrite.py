@@ -10,13 +10,19 @@ from grover_lab.diagram import (
     Comult,
     Counit,
     Diagram,
+    FunctionBox,
+    GroupMult,
+    GroupUnit,
     Identity,
     Mult,
     Point,
     PointEffect,
+    RepBox,
     Unit,
     compose,
     make_generator,
+    slice_cod,
+    slice_dom,
     tensor,
 )
 from grover_lab.errors import NoMatchError
@@ -27,7 +33,7 @@ from grover_lab.rewrite import (
     replay,
     rules_catalog,
 )
-from grover_lab.spaces import Z2, set_space
+from grover_lab.spaces import Z2, GroupSpec, cyclic_group, set_space
 from grover_lab.tensor_eval import evaluate, scalar_of
 
 from conftest import assert_close
@@ -224,3 +230,55 @@ def test_normalize_terminates_within_budget(seed):
     d = random_diagram(random.Random(seed))
     _, trace = normalize(d, max_steps=500)
     assert not trace.truncated
+
+
+S2, S3, T3 = set_space("S2", 2), set_space("S3", 3), set_space("T3", 3)
+Z3 = cyclic_group(3)
+# Z3 with its two non-trivial irreps swapped: the same space label, another group
+Z3_RELABELLED = GroupSpec(
+    "Z3", 3, Z3.multiplication_table, 0,
+    (Z3.character_table[0], Z3.character_table[2], Z3.character_table[1]),
+)
+# Per rule, fragments whose generator classes fit but whose wires (or groups) differ.
+UNEQUAL_WIRES = [
+    ("copy-point", (Point(S3, 0),), Comult(T3)),
+    ("delete-point", (Point(S3, 0),), Counit(T3)),
+    ("point-inner-product", (Point(S3, 0),), PointEffect(T3, 0)),
+    ("comonoid-hom-copy", (FunctionBox(S3, T3, (0, 1, 2)),), Comult(S3)),
+    ("comonoid-hom-delete", (FunctionBox(S3, T3, (0, 1, 2)),), Counit(S3)),
+    ("rep-merge", (GroupMult(Z2),), RepBox(Z3, 1)),
+    ("rep-merge", (GroupMult(Z3),), RepBox(Z3_RELABELLED, 1)),
+    ("rep-at-unit", (GroupUnit(Z2),), RepBox(Z3, 1)),
+    ("rep-at-unit", (GroupUnit(Z3),), RepBox(Z3_RELABELLED, 1)),
+    ("irrep-sum", (Unit(set_space("Z3", 3)),), RepBox(Z3, 0)),
+    ("special", (Comult(S3),), Mult(T3)),
+    ("unit-left", (Unit(S2), Identity(S3)), Mult(S2)),
+    ("unit-right", (Identity(S2), Unit(S3)), Mult(S2)),
+    ("associativity", (Mult(S2), Identity(S3)), Mult(S2)),
+]
+
+
+@pytest.mark.parametrize("name, bottom, top", UNEQUAL_WIRES, ids=[c[0] for c in UNEQUAL_WIRES])
+def test_rule_refuses_fitting_classes_on_unequal_wires(name, bottom, top):
+    rule = RULES[name]
+    assert rule.fits_bottom(bottom) and isinstance(top, rule.top)
+    assert len(top.dom) == len(slice_cod(bottom))
+    d = Diagram(slice_dom(bottom), top.cod, (bottom, (top,)))
+    with pytest.raises(NoMatchError):
+        apply_rule(rule, d, (0, 0))
+
+
+def test_every_rule_has_an_unequal_wires_case():
+    assert {c[0] for c in UNEQUAL_WIRES} == set(RULES)
+
+
+def test_normalize_reads_each_group_generator_space_once(monkeypatch):
+    calls = []
+    space = GroupSpec.space
+    monkeypatch.setattr(GroupSpec, "space", lambda g: calls.append(g) or space(g))
+    bottom = tuple(GroupMult(Z3) for _ in range(64))
+    top = tuple(RepBox(Z3, i % 3) for i in range(64))
+    d = Diagram(slice_dom(bottom), (), (bottom, top))
+    _, trace = normalize(d)
+    assert [s.rule for s in trace.steps] == ["rep-merge"] * 64
+    assert len(calls) <= len(bottom) + len(top)
