@@ -25,11 +25,10 @@ import numpy as np
 
 from .errors import DomainError, InvalidArgumentError
 from .grover_diagram import build_grover_diagram, indicator_box, register_space
-from .simulator import OracleFunction, grover_run, max_qubits, optimal_iterations
+from .simulator import grover_amplitudes, max_qubits, optimal_iterations
 from .tensor_eval import evaluate
 
 DIAGRAM_MAX_QUBITS = 5  # diagram evaluation route is exercised up to here
-SIMULATOR_CHECK_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -124,23 +123,12 @@ def _discrepancy_ratio(sim_unmarked: float, a_squared: float) -> float:
     return sim_unmarked / a_squared
 
 
-def _marked_and_unmarked(probs, x0: int) -> tuple:
-    """The probabilities of the marked x0 and of each unmarked element, both
-    read off the table: (1 - p)/(N - 1) and (sum - p)/(N - 1) cancel near
-    p = 1."""
-    return float(probs[x0]), float(probs[(x0 + 1) % len(probs)])
-
-
-def _simulator_values(n: int, k: int, x0: int) -> tuple:
-    return _marked_and_unmarked(grover_run(n, OracleFunction.single(n, x0), k).probabilities, x0)
-
-
 def paper_claims_check(n_min: int = 2, n_max: int = 20) -> ClaimsReport:
-    """Check the formula-level claims per n and, where the simulator is
-    cheap enough, record the measured marked probability as well."""
+    """Check the formula-level claims per n and, for every n within the
+    simulator's register cap, record the simulated probabilities as well."""
     if not 2 <= n_min <= n_max <= 64:
         raise InvalidArgumentError("need 2 <= n_min <= n_max <= 64")
-    simulator_limit = min(SIMULATOR_CHECK_LIMIT, max_qubits())
+    cap = max_qubits()
 
     report = ClaimsReport(n_min, n_max)
     for n in range(n_min, n_max + 1):
@@ -152,9 +140,9 @@ def paper_claims_check(n_min: int = 2, n_max: int = 20) -> ClaimsReport:
             A_squared=amp.squared,
             total_unmarked=(2**n - 1) * amp.squared,
         )
-        if n <= simulator_limit:
-            k = optimal_iterations(n).paper_mode
-            rec.simulator_marked, rec.simulator_unmarked_each = _simulator_values(n, k, 2**n - 1)
+        if n <= cap:
+            a, b = grover_amplitudes(n, 1, optimal_iterations(n).paper_mode)
+            rec.simulator_marked, rec.simulator_unmarked_each = a * a, b * b
             rec.discrepancy_ratio = _discrepancy_ratio(rec.simulator_unmarked_each, amp.squared)
             rec.marked_ge_half = rec.simulator_marked >= 0.5
         report.records.append(rec)
@@ -209,7 +197,7 @@ def compare(n: int, k_mode: str = "paper") -> ComparisonReport:
     N = 2**n
     x0 = N - 1
 
-    sim_marked, sim_unmarked_each = _simulator_values(n, k, x0)
+    a, b = grover_amplitudes(n, 1, k)
 
     diagram_marked = None
     diagram_unmarked_each = None
@@ -218,7 +206,8 @@ def compare(n: int, k_mode: str = "paper") -> ComparisonReport:
         space = register_space(n)
         d = build_grover_diagram(n, indicator_box(space, {x0}), k)
         probs = np.abs(evaluate(d).matrix[:, 0]) ** 2
-        diagram_marked, diagram_unmarked_each = _marked_and_unmarked(probs, x0)
+        # read each off the vector: (1 - p)/(N - 1) cancels near p = 1
+        diagram_marked, diagram_unmarked_each = float(probs[x0]), float(probs[0])
 
     amp = paper_amplitude(float(N))  # real-valued exponent sqrt(N)
     return ComparisonReport(
@@ -226,12 +215,12 @@ def compare(n: int, k_mode: str = "paper") -> ComparisonReport:
         k=k,
         k_mode=k_mode,
         formula_k=amp.k,
-        simulator_marked=sim_marked,
-        simulator_unmarked_each=sim_unmarked_each,
+        simulator_marked=a * a,
+        simulator_unmarked_each=b * b,
         diagram_marked=diagram_marked,
         diagram_unmarked_each=diagram_unmarked_each,
         diagram_skipped=skipped,
         formula_A=amp.amplitude,
         formula_A_squared=amp.squared,
-        discrepancy_ratio=_discrepancy_ratio(sim_unmarked_each, amp.squared),
+        discrepancy_ratio=_discrepancy_ratio(b * b, amp.squared),
     )

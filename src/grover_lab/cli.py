@@ -21,6 +21,7 @@ from . import __version__
 from .analysis import compare, paper_amplitude, paper_claims_check
 from .diagram import check_typing
 from .errors import (
+    DimensionCapError,
     DomainError,
     GroverLabError,
     InvalidArgumentError,
@@ -125,7 +126,7 @@ def _parse_marked(raw: str):
     try:
         return frozenset(int(x) for x in raw.split(","))
     except ValueError as exc:
-        raise GroverLabError(f"--marked must be a comma list of integers, got {raw!r}") from exc
+        raise InvalidArgumentError(f"--marked must be a comma list of integers, got {raw!r}") from exc
 
 
 def _cmd_simulate(args) -> None:
@@ -137,7 +138,7 @@ def _cmd_simulate(args) -> None:
         try:
             k = int(args.iterations)
         except ValueError as exc:
-            raise GroverLabError(
+            raise InvalidArgumentError(
                 f"--iterations must be an integer, 'paper' or 'optimal', got {args.iterations!r}"
             ) from exc
     table = grover_run(args.n, f, k, oracle_mode=args.oracle_mode)
@@ -150,7 +151,7 @@ def _cmd_simulate(args) -> None:
 
 def _cmd_formula(args) -> None:
     if (args.n is None) == (args.N is None):
-        raise GroverLabError("give exactly one of --n or --N")
+        raise InvalidArgumentError("give exactly one of --n or --N")
     try:
         N = 2.0**args.n if args.n is not None else args.N
     except OverflowError as exc:
@@ -269,8 +270,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         args.func(args)
-    except GroverLabError as exc:
-        err = {"code": exc.code, "message": str(exc)}
+    except (GroverLabError, MemoryError) as exc:
+        # a failed allocation is the host's own register cap
+        code = exc.code if isinstance(exc, GroverLabError) else DimensionCapError.code
+        err = {"code": code, "message": str(exc) or "out of memory"}
         if isinstance(exc, TypeMismatchError) and exc.report is not None:
             err["mismatches"] = [
                 {

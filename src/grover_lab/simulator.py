@@ -147,38 +147,45 @@ def apply_diffusion(state: StateVector) -> StateVector:
     return StateVector(state.n, 2.0 * mean - state.amplitudes)
 
 
-def grover_run(n: int, f: OracleFunction, k: int, oracle_mode: str = "phase") -> ProbabilityTable:
-    """k Grover iterations from the uniform state; exact probabilities.
+def grover_amplitudes(n: int, m: int, k: int) -> tuple:
+    """The amplitudes (a, b) of each marked and each unmarked element after
+    k phase-oracle Grover iterations from the uniform state, m of 2^n marked.
 
-    From the uniform state every marked amplitude stays equal to every other
-    marked one, and every unmarked one to every other unmarked one.  Phase
-    mode therefore runs two amplitudes: with m of N elements marked, a round
-    takes the marked a to 2*mean + a and the unmarked b to 2*mean - b, where
-    mean = ((N - m)*b - m*a)/N.  It is computed as b - m*(a + b)/N, which
-    keeps exact the rounds the vector computes exactly: with m = N/4 the
-    first round leaves every unmarked amplitude exactly 0.  Ancilla mode
-    runs the whole state vector through the ancilla oracle and the
-    diffusion, and is the reference.
+    From the uniform state all marked amplitudes stay equal, and so do all
+    unmarked ones, so a round takes the marked a to 2*mean + a and the
+    unmarked b to 2*mean - b, where mean = ((N - m)*b - m*a)/N.  It is
+    computed as b - m*(a + b)/N, which keeps exact the rounds the vector
+    computes exactly: with m = N/4 the first round leaves every unmarked
+    amplitude exactly 0.
     """
     if k < 0:
         raise InvalidArgumentError("iteration count must be >= 0")
     N = _register_size(n)
-    _check_oracle(n, f, oracle_mode)
-    marked = tuple(sorted(f.marked))
-    if oracle_mode == "ancilla":
-        state = uniform_state(n)
-        flip = f.indicator().astype(bool)
-        for _ in range(k):
-            state = apply_diffusion(StateVector(n, _ancilla_oracle(state.amplitudes, flip)))
-        return ProbabilityTable(n, state.probabilities(), marked)
-    m = len(marked)
     a = b = 2.0 ** (-n / 2)
     for _ in range(k):
         mean = b - m * (a + b) / N
         a, b = 2.0 * mean + a, 2.0 * mean - b
-    probabilities = np.full(N, b * b)
-    probabilities[list(marked)] = a * a
-    return ProbabilityTable(n, probabilities, marked)
+    return a, b
+
+
+def grover_run(n: int, f: OracleFunction, k: int, oracle_mode: str = "phase") -> ProbabilityTable:
+    """k Grover iterations from the uniform state; exact probabilities.
+    Phase mode fills the table from grover_amplitudes; ancilla mode runs the
+    whole state vector through the ancilla oracle and is the reference."""
+    _check_oracle(n, f, oracle_mode)
+    marked = tuple(sorted(f.marked))
+    if oracle_mode == "phase":
+        a, b = grover_amplitudes(n, len(marked), k)
+        probabilities = np.full(2**n, b * b)
+        probabilities[list(marked)] = a * a
+        return ProbabilityTable(n, probabilities, marked)
+    if k < 0:
+        raise InvalidArgumentError("iteration count must be >= 0")
+    state = uniform_state(n)
+    flip = f.indicator().astype(bool)
+    for _ in range(k):
+        state = apply_diffusion(StateVector(n, _ancilla_oracle(state.amplitudes, flip)))
+    return ProbabilityTable(n, state.probabilities(), marked)
 
 
 def closed_form_marked_prob(n: int, k: int, m: int = 1) -> float:

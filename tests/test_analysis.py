@@ -11,8 +11,9 @@ from grover_lab.analysis import (
     paper_claims_check,
     sigma_sum,
 )
-from grover_lab.errors import DomainError, InvalidArgumentError
+from grover_lab.errors import DimensionCapError, DomainError, InvalidArgumentError
 from grover_lab.grover_diagram import indicator_box, sigma_sum_diagram
+from grover_lab.simulator import optimal_iterations
 from grover_lab.spaces import set_space
 from grover_lab.tensor_eval import scalar_of
 
@@ -116,6 +117,22 @@ def test_claims_report_simulator_verdict_is_measured_false():
     assert by_n[3].marked_ge_half is False
     assert all(by_n[n].marked_ge_half for n in range(4, 13))
     assert report.verdicts["simulator_marked_ge_half"] is False
+
+
+def test_claims_simulates_past_n_12_exactly():
+    by_n = {r.n: r for r in paper_claims_check(2, 20).records}
+    for n in range(13, 21):
+        marked, unmarked = exact_grover_probs(n, 1, optimal_iterations(n).paper_mode)
+        assert by_n[n].simulator_marked == pytest.approx(float(marked), rel=1e-12, abs=0)
+        assert by_n[n].simulator_unmarked_each == pytest.approx(float(unmarked), rel=1e-12, abs=0)
+
+
+def test_register_cap_is_the_only_simulator_bound(monkeypatch):
+    monkeypatch.setenv("GROVER_LAB_MAX_QUBITS", "3")
+    report = paper_claims_check(2, 6)
+    assert [r.n for r in report.records if r.simulator_marked is not None] == [2, 3]
+    with pytest.raises(DimensionCapError):
+        compare(4)
 
 
 def test_claims_total_unmarked_monotone_decreasing_for_even_n():

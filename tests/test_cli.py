@@ -364,6 +364,32 @@ def test_bad_number_is_a_coded_error(argv, code, diagram_file, wide_file):
     assert json.loads(proc.stderr)["code"] == code
 
 
+BAD_ARGUMENTS = [
+    ["simulate", "--n", "2", "--marked", "x"],
+    ["simulate", "--n", "2", "--marked", "0", "--iterations", "1e3"],
+    ["formula", "--n", "2", "--N", "4"],
+    ["formula"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
+def test_bad_argument_is_invalid_argument(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["code"] == "invalid-argument"
+
+
+def test_failed_allocation_is_a_coded_error(capsys, monkeypatch):
+    def out_of_memory(n, f, k, oracle_mode):
+        raise MemoryError("Unable to allocate 2.00 TiB")
+
+    monkeypatch.setattr(cli, "grover_run", out_of_memory)
+    code, out, err = _in_process(["simulate", "--n", "38", "--marked", "1"], capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"code": "cap-exceeded", "message": "Unable to allocate 2.00 TiB"}
+
+
 def test_output_is_byte_identical_across_runs():
     a = run_cli("claims", "--n-min", "2", "--n-max", "10")
     b = run_cli("claims", "--n-min", "2", "--n-max", "10")

@@ -14,6 +14,7 @@ from grover_lab.simulator import (
     apply_diffusion,
     apply_oracle,
     closed_form_marked_prob,
+    grover_amplitudes,
     grover_run,
     optimal_iterations,
     uniform_state,
@@ -188,6 +189,19 @@ def test_two_amplitude_run_matches_exact_oracle(n):
         f = OracleFunction(n, _marked_set(n, m))
         for k in _iteration_counts(n):
             assert _exact_deviation(grover_run(n, f, k), m, k) <= 1e-12, (m, k)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_grover_amplitudes_squared_are_the_table_entries(n):
+    for m in (1, 2, 4):
+        if m > 2**n:
+            continue
+        f = OracleFunction(n, _marked_set(n, m))
+        for k in _iteration_counts(n):
+            a, b = grover_amplitudes(n, m, k)
+            want = np.full(2**n, b * b)
+            want[sorted(f.marked)] = a * a
+            assert np.array_equal(grover_run(n, f, k).probabilities, want), (m, k)
 
 
 def test_two_amplitude_run_with_every_element_marked():
