@@ -171,15 +171,15 @@ class ComparisonReport:
     n: int
     k: int
     k_mode: str
-    formula_k: float
     simulator_marked: float
     simulator_unmarked_each: float
     diagram_marked: Optional[float]
     diagram_unmarked_each: Optional[float]
     diagram_skipped: bool
-    formula_A: float
-    formula_A_squared: float
-    discrepancy_ratio: float
+    formula_k: Optional[float] = None  # the four formula fields stay None for N < 3
+    formula_A: Optional[float] = None
+    formula_A_squared: Optional[float] = None
+    discrepancy_ratio: Optional[float] = None
 
     def to_json_dict(self) -> dict:
         return {**asdict(self), "discrepancy_ratio": _ratio(self.discrepancy_ratio)}
@@ -187,9 +187,9 @@ class ComparisonReport:
 
 def compare(n: int, k_mode: str = "paper") -> ComparisonReport:
     """Run the simulator, the diagram evaluation (for n small enough), and
-    the closed-form model at matching iteration counts, and report the gaps.
-    The marked element is 2^n - 1.  Formula-vs-simulator equality is
-    measured, never asserted."""
+    the closed-form model (for N > 2) at matching iteration counts, and
+    report the gaps.  The marked element is 2^n - 1.  Formula-vs-simulator
+    equality is measured, never asserted."""
     if k_mode not in ("paper", "optimal"):
         raise InvalidArgumentError(f"unknown k mode {k_mode!r}")
     counts = optimal_iterations(n)
@@ -209,18 +209,19 @@ def compare(n: int, k_mode: str = "paper") -> ComparisonReport:
         # read each off the vector: (1 - p)/(N - 1) cancels near p = 1
         diagram_marked, diagram_unmarked_each = float(probs[x0]), float(probs[0])
 
-    amp = paper_amplitude(float(N))  # real-valued exponent sqrt(N)
-    return ComparisonReport(
+    report = ComparisonReport(
         n=n,
         k=k,
         k_mode=k_mode,
-        formula_k=amp.k,
         simulator_marked=a * a,
         simulator_unmarked_each=b * b,
         diagram_marked=diagram_marked,
         diagram_unmarked_each=diagram_unmarked_each,
         diagram_skipped=skipped,
-        formula_A=amp.amplitude,
-        formula_A_squared=amp.squared,
-        discrepancy_ratio=_discrepancy_ratio(b * b, amp.squared),
     )
+    if N > 2:
+        amp = paper_amplitude(float(N))  # real-valued exponent sqrt(N)
+        report.formula_k, report.formula_A = amp.k, amp.amplitude
+        report.formula_A_squared = amp.squared
+        report.discrepancy_ratio = _discrepancy_ratio(b * b, amp.squared)
+    return report

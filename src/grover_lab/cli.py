@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_left
 from dataclasses import asdict
 from pathlib import Path
 
@@ -98,16 +99,15 @@ def _write_csv_table(out, values: np.ndarray, marked) -> None:
     """The element,probability,is_marked rows of a probability table, in the
     bytes _emit prints for such records, a chunk at a time."""
     chunks = _float_tokens(values)
-    flags = np.zeros(len(values), dtype=np.int8)
-    flags[list(marked)] = 1
-    row_ends = np.array([",0\n", ",1\n"], dtype=object)
+    marked = sorted(marked)
     out.write("element,probability,is_marked\n")
     for start, tokens in zip(range(0, len(values), CHUNK), chunks):
         stop = start + len(tokens)
-        cells = [","] * (4 * len(tokens))  # element "," probability ",flag\n"
+        cells = [None, ",", None, ",0\n"] * len(tokens)  # element "," probability ",flag\n"
         cells[::4] = map(str, range(start, stop))
         cells[2::4] = tokens
-        cells[3::4] = row_ends[flags[start:stop]].tolist()
+        for x in marked[bisect_left(marked, start) : bisect_left(marked, stop)]:
+            cells[4 * (x - start) + 3] = ",1\n"
         out.write("".join(cells))
 
 

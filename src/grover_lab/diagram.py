@@ -380,11 +380,12 @@ def identity_diagram(spaces) -> Diagram:
     return Diagram(spaces, spaces, (tuple(Identity(s) for s in spaces),))
 
 
-def _first_mismatch(expected: Spaces, found: Spaces):
+def _mismatches(expected: Spaces, found: Spaces):
+    """(position, expected, found) of each wire where the two disagree; a
+    missing wire is None."""
     for pos, (e, f) in enumerate(itertools.zip_longest(expected, found)):
         if e != f:
-            return pos, e, f
-    return None
+            yield pos, e, f
 
 
 def compose(first: Diagram, then: Diagram) -> Diagram:
@@ -392,12 +393,8 @@ def compose(first: Diagram, then: Diagram) -> Diagram:
 
     eval(compose(a, b)) == eval(b) @ eval(a).
     """
-    mm = _first_mismatch(first.output_spaces, then.input_spaces)
-    if mm is not None:
-        pos, e, f = mm
-        raise TypeMismatchError(
-            f"cannot compose: wire {pos} has output {e} but input {f}"
-        )
+    for pos, e, f in _mismatches(first.output_spaces, then.input_spaces):
+        raise TypeMismatchError(f"cannot compose: wire {pos} has output {e} but input {f}")
     return Diagram(first.input_spaces, then.output_spaces, first.slices + then.slices)
 
 
@@ -455,9 +452,8 @@ def validate(d: Diagram) -> TypingReport:
     below = [d.input_spaces] + [slice_cod(sl) for sl in d.slices]
     above = [slice_dom(sl) for sl in d.slices] + [d.output_spaces]
     for idx, (expected, found) in enumerate(zip(below, above)):
-        for pos, (e, f) in enumerate(itertools.zip_longest(expected, found)):
-            if e != f:
-                report.mismatches.append(WireMismatch(idx, pos, e, f))
+        if expected != found:  # the common, well-typed boundary needs no scan
+            report.mismatches += (WireMismatch(idx, *mm) for mm in _mismatches(expected, found))
     return report
 
 

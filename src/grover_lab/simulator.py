@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,10 +50,12 @@ class OracleFunction:
     def single(cls, n: int, x0: int) -> "OracleFunction":
         return cls(n, frozenset({x0}))
 
-    def indicator(self) -> np.ndarray:
-        ind = np.zeros(2**self.n, dtype=np.int64)
-        ind[sorted(self.marked)] = 1
-        return ind
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The marked elements as one sorted, read-only index array, built once."""
+        rows = np.array(sorted(self.marked), dtype=np.intp)
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +114,7 @@ def uniform_state(n: int) -> StateVector:
 
 
 def apply_oracle(state: StateVector, f: OracleFunction, mode: str = "phase") -> StateVector:
-    """Oracle application.
+    """Oracle application, on the marked rows by index.
 
     phase mode multiplies amplitude x by (-1)^f(x).  ancilla mode extends
     the register by a Z_2 wire in |->, applies |x>|y> -> |x>|y xor f(x)>,
@@ -119,10 +122,15 @@ def apply_oracle(state: StateVector, f: OracleFunction, mode: str = "phase") -> 
     agree on the register state.
     """
     _check_oracle(state.n, f, mode)
-    ind = f.indicator()
+    rows = f.rows
     if mode == "phase":
-        return StateVector(state.n, state.amplitudes * (1 - 2 * ind))
-    return StateVector(state.n, _ancilla_oracle(state.amplitudes, ind.astype(bool)))
+        amplitudes = state.amplitudes.copy()
+        amplitudes[rows] = -amplitudes[rows]
+        return StateVector(state.n, amplitudes)
+    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    joint = np.kron(state.amplitudes, minus).reshape(-1, 2)
+    joint[rows] = joint[rows, ::-1]  # y -> y xor 1 where f(x) = 1
+    return StateVector(state.n, joint @ minus)  # project the ancilla back out
 
 
 def _check_oracle(n: int, f: OracleFunction, mode: str) -> None:
@@ -130,15 +138,6 @@ def _check_oracle(n: int, f: OracleFunction, mode: str) -> None:
         raise InvalidArgumentError(f"state has {n} qubits but oracle expects {f.n}")
     if mode not in ("phase", "ancilla"):
         raise InvalidArgumentError(f"unknown oracle mode {mode!r}")
-
-
-def _ancilla_oracle(amplitudes: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    """The register after |x>|y> -> |x>|y xor f(x)> with the ancilla in |->;
-    `flip` is f as a boolean array."""
-    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
-    joint = np.kron(amplitudes, minus).reshape(-1, 2)
-    joint[flip] = joint[flip, ::-1]  # y -> y xor 1 where f(x) = 1
-    return joint @ minus  # project the ancilla back out
 
 
 def apply_diffusion(state: StateVector) -> StateVector:
@@ -171,20 +170,20 @@ def grover_amplitudes(n: int, m: int, k: int) -> tuple:
 def grover_run(n: int, f: OracleFunction, k: int, oracle_mode: str = "phase") -> ProbabilityTable:
     """k Grover iterations from the uniform state; exact probabilities.
     Phase mode fills the table from grover_amplitudes; ancilla mode runs the
-    whole state vector through the ancilla oracle and is the reference."""
+    whole state vector through apply_oracle and apply_diffusion each round
+    and is the reference."""
     _check_oracle(n, f, oracle_mode)
-    marked = tuple(sorted(f.marked))
+    marked = tuple(f.rows.tolist())
     if oracle_mode == "phase":
         a, b = grover_amplitudes(n, len(marked), k)
         probabilities = np.full(2**n, b * b)
-        probabilities[list(marked)] = a * a
+        probabilities[f.rows] = a * a
         return ProbabilityTable(n, probabilities, marked)
     if k < 0:
         raise InvalidArgumentError("iteration count must be >= 0")
     state = uniform_state(n)
-    flip = f.indicator().astype(bool)
     for _ in range(k):
-        state = apply_diffusion(StateVector(n, _ancilla_oracle(state.amplitudes, flip)))
+        state = apply_diffusion(apply_oracle(state, f, oracle_mode))
     return ProbabilityTable(n, state.probabilities(), marked)
 
 

@@ -103,6 +103,22 @@ def test_compare_schema():
     assert payload["result"]["discrepancy_ratio"] == pytest.approx(63.0105, rel=1e-4)
 
 
+def test_compare_at_n1_leaves_the_formula_fields_null():
+    """The model needs N > 2; the simulator and diagram routes still run."""
+    proc = run_cli("compare", "--n", "1")
+    result = check_against_schema(proc.stdout, "compare.json")["result"]
+    formula = ("discrepancy_ratio", "formula_A", "formula_A_squared", "formula_k")
+    assert [result[f] for f in formula] == [None] * 4
+    assert result["simulator_marked"] == pytest.approx(0.5, abs=1e-12)
+    assert result["diagram_marked"] == pytest.approx(0.5, abs=1e-12)
+    proc = run_cli("compare", "--n", "1", "--format", "csv")
+    header, row, end = proc.stdout.split("\n")
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (proc.returncode, end) == (0, "")
+    assert [cells[f] for f in formula] == [""] * 4
+    assert cells["simulator_marked"] == repr(result["simulator_marked"])
+
+
 def test_compare_csv_header_sorted():
     proc = run_cli("compare", "--n", "3", "--format", "csv")
     header = proc.stdout.split("\n")[0].split(",")
@@ -475,10 +491,12 @@ def test_writer_at_chunk_edges(size, monkeypatch):
     cli._write_json_with_list(out, doc, values)
     want = {"b": {"probabilities": [float(v) for v in values], "z": [1, 2]}, "a": 1}
     assert out.getvalue() == json.dumps(want, sort_keys=True, indent=2) + "\n"
-    out = io.StringIO()
-    cli._write_csv_table(out, values, [x for x in (0, 4) if x < size])
-    rows = [f"{x},{float(v)!r},{int(x in (0, 4))}" for x, v in enumerate(values)]
-    assert out.getvalue() == "\n".join(["element,probability,is_marked", *rows]) + "\n"
+    # marked rows first and inside a chunk, last in a chunk, and every row
+    for marked in ((0, 4), (2, 5), range(size)):
+        out = io.StringIO()
+        cli._write_csv_table(out, values, [x for x in marked if x < size])
+        rows = [f"{x},{float(v)!r},{int(x in marked)}" for x, v in enumerate(values)]
+        assert out.getvalue() == "\n".join(["element,probability,is_marked", *rows]) + "\n"
 
 
 def test_writer_with_every_value_distinct():

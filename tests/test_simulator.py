@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grover_lab import simulator
 from grover_lab.errors import DimensionCapError, InvalidArgumentError
 from grover_lab.simulator import (
     OracleFunction,
@@ -221,15 +222,47 @@ def test_ancilla_vector_run_matches_exact_oracle(n):
             assert _exact_deviation(table, m, k) <= 1e-12, (m, k)
 
 
-def test_ancilla_run_builds_the_indicator_once(monkeypatch):
+def test_ancilla_run_calls_apply_oracle_and_apply_diffusion_each_round(monkeypatch):
     calls = []
-    original = OracleFunction.indicator
-    monkeypatch.setattr(OracleFunction, "indicator", lambda f: calls.append(1) or original(f))
-    grover_run(4, OracleFunction.single(4, 5), 6, oracle_mode="ancilla")
-    assert len(calls) == 1
+
+    def counted(name, func):
+        return lambda *args, **kwargs: calls.append(name) or func(*args, **kwargs)
+
+    for name in ("apply_oracle", "apply_diffusion"):
+        monkeypatch.setattr(simulator, name, counted(name, getattr(simulator, name)))
+    f = OracleFunction.single(4, 5)
+    grover_run(4, f, 6, oracle_mode="ancilla")
+    assert calls == ["apply_oracle", "apply_diffusion"] * 6
+    assert f.rows is f.rows  # the marked rows are sorted once per oracle
     calls.clear()
-    grover_run(4, OracleFunction.single(4, 5), 6)
+    grover_run(4, f, 6)
     assert calls == []
+
+
+def _mask_ancilla_run(n, marked, k):
+    """The ancilla round written with a boolean mask over all 2^n rows: an
+    independent reference that grover_run's by-index round matches bit for
+    bit."""
+    minus = np.array([1.0, -1.0]) / math.sqrt(2.0)
+    flip = np.zeros(2**n, dtype=bool)
+    flip[sorted(marked)] = True
+    a = np.full(2**n, 2.0 ** (-n / 2), dtype=complex)
+    for _ in range(k):
+        joint = np.kron(a, minus).reshape(-1, 2)
+        joint[flip] = joint[flip, ::-1]
+        a = joint @ minus
+        a = 2.0 * np.mean(a) - a
+    return np.abs(a) ** 2
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ancilla_run_is_bit_identical_to_the_boolean_mask_round(n):
+    N = 2**n
+    for m in sorted({m for m in (1, 2, 4, N // 2, N) if m <= N}):
+        marked = _marked_set(n, m)
+        for k in sorted({0, 1, 3, optimal_iterations(n).paper_mode}):
+            table = grover_run(n, OracleFunction(n, marked), k, oracle_mode="ancilla")
+            assert np.array_equal(table.probabilities, _mask_ancilla_run(n, marked, k)), (m, k)
 
 
 def test_grover_run_checks_its_arguments(monkeypatch):
