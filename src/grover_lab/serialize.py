@@ -13,6 +13,10 @@ complex numbers (a CustomBox matrix, a character table) as [re, im] pairs.
 A space record is a SpaceLabel's fields plus, on a group wire, the group's
 GroupSpec record, which leaves out the name the space already gives.  A
 generator record adds a "variant" field with the generator class name.
+Writing and reading resolve names through one table of spaces and one of
+groups per document: the writer enters each space and group a field names
+(a group also enters its space) and lists the space records from them; the
+reader fills the tables from the space records and looks every name up.
 Parsing checks each field's JSON type.  Printing is canonical (sorted keys),
 so parse-then-print is idempotent.
 """
@@ -54,16 +58,6 @@ _FIELDS = {
 _Table = Tuple[Tuple[int, ...], ...]
 _Characters = Optional[Tuple[Tuple[complex, ...], ...]]
 
-_ENCODE = {
-    SpaceLabel: lambda s: s.name,
-    GroupSpec: lambda g: g.name,
-    Spaces: lambda ss: [s.name for s in ss],
-    Tuple[int, ...]: list,
-    _Table: lambda t: [list(r) for r in t],
-    _Characters: lambda t: None if t is None else [[[z.real, z.imag] for z in r] for r in t],
-    np.ndarray: lambda m: np.stack((m.real, m.imag), -1).tolist(),
-}
-
 
 def _exactly(tp, what):
     """A decoder that refuses any JSON value not of type `tp`, such as a
@@ -85,6 +79,33 @@ def _same(v):
     return v
 
 
+def _encoders(spaces, groups):
+    """Field encoders by type, entering each space and group a field names
+    into one document's tables, one value per name.  A group enters its
+    space first, so groups of two orders under one name clash as spaces."""
+
+    def space(s):
+        if spaces.setdefault(s.name, s) != s:
+            raise InvalidArgumentError(f"two distinct spaces share the name {s.name!r}")
+        return s.name
+
+    def group(g):
+        name = space(g.space())
+        if groups.setdefault(name, g) != g:
+            raise InvalidArgumentError(f"two distinct groups share the name {name!r}")
+        return name
+
+    return {
+        SpaceLabel: space,
+        GroupSpec: group,
+        Spaces: lambda ss: [space(s) for s in ss],
+        Tuple[int, ...]: list,
+        _Table: lambda t: [list(r) for r in t],
+        _Characters: lambda t: None if t is None else [[[z.real, z.imag] for z in r] for r in t],
+        np.ndarray: lambda m: np.stack((m.real, m.imag), -1).tolist(),
+    }
+
+
 def _decoders(spaces, groups):
     """Field decoders by type, resolving names against one document."""
     return {
@@ -103,8 +124,8 @@ def _decoders(spaces, groups):
     }
 
 
-def _record(obj) -> dict:
-    return {name: _ENCODE.get(tp, _same)(getattr(obj, name)) for name, tp, _ in _FIELDS[type(obj)]}
+def _record(obj, encode) -> dict:
+    return {name: encode.get(tp, _same)(getattr(obj, name)) for name, tp, _ in _FIELDS[type(obj)]}
 
 
 def _build(cls, rec, decode, **given):
@@ -117,53 +138,18 @@ def _build(cls, rec, decode, **given):
     })
 
 
-def _collect_spaces(d: Diagram):
-    spaces = {}
-    groups = {}
-
-    def see_space(s: SpaceLabel):
-        prev = spaces.get(s.name)
-        if prev is not None and prev != s:
-            raise InvalidArgumentError(
-                f"two distinct spaces share the name {s.name!r}"
-            )
-        spaces[s.name] = s
-
-    def see_group(g: GroupSpec):
-        prev = groups.get(g.name)
-        if prev is not None and prev != g:
-            raise InvalidArgumentError(f"two distinct groups share the name {g.name!r}")
-        groups[g.name] = g
-        see_space(g.space())
-
-    for s in d.input_spaces + d.output_spaces:
-        see_space(s)
-    for sl in d.slices:
-        for g in sl:
-            for s in g.dom + g.cod:
-                see_space(s)
-            for name, tp, _ in _FIELDS[type(g)]:
-                if tp is GroupSpec:
-                    see_group(getattr(g, name))
-    return spaces, groups
-
-
-def _space_record(s: SpaceLabel, groups) -> dict:
-    rec = _record(s)
-    if s.name in groups:
-        rec["group"] = _record(groups[s.name])
-    return rec
-
-
 def to_document(d: Diagram) -> dict:
-    spaces, groups = _collect_spaces(d)
-    return {
-        "version": FORMAT_VERSION,
-        "spaces": [_space_record(spaces[name], groups) for name in sorted(spaces)],
-        "inputs": [s.name for s in d.input_spaces],
-        "outputs": [s.name for s in d.output_spaces],
-        "slices": [[{"variant": g.variant, **_record(g)} for g in sl] for sl in d.slices],
+    spaces, groups = {}, {}
+    encode = _encoders(spaces, groups)
+    body = {
+        "inputs": encode[Spaces](d.input_spaces),
+        "outputs": encode[Spaces](d.output_spaces),
+        "slices": [[{"variant": g.variant, **_record(g, encode)} for g in sl] for sl in d.slices],
     }
+    records = {name: _record(s, encode) for name, s in sorted(spaces.items())}
+    for name, g in groups.items():
+        records[name]["group"] = _record(g, encode)
+    return {"version": FORMAT_VERSION, "spaces": list(records.values()), **body}
 
 
 def _parse_spaces(doc, decode, spaces, groups):

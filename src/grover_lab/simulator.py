@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionCapError, InvalidArgumentError
+from .errors import DimensionCapError, DomainError, InvalidArgumentError
 
 DEFAULT_MAX_QUBITS = 24
 MAX_QUBITS_ENV = "GROVER_LAB_MAX_QUBITS"
@@ -208,7 +208,10 @@ def optimal_iterations(n: int) -> IterationCounts:
     formula uses) and floor(pi/4 * sqrt(2^n)) (the textbook optimum)."""
     if n < 1:
         raise InvalidArgumentError("qubit count must be >= 1")
-    root = math.sqrt(2.0**n)
+    try:
+        root = math.sqrt(2.0**n)
+    except OverflowError as exc:
+        raise DomainError(f"N = 2^{n} overflows a float") from exc
     paper = max(1, round(root))
     optimal = max(1, math.floor(math.pi / 4.0 * root))
     return IterationCounts(paper, optimal)

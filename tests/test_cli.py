@@ -365,6 +365,10 @@ BAD_NUMBERS = [
     (["formula", "--N", "8", "--k", "abc"], "invalid-argument"),
     (["formula", "--N", "3", "--k", "-5"], "domain-error"),
     (["formula", "--n", "2000"], "domain-error"),
+    (["simulate", "--n", "1100", "--marked", "1"], "domain-error"),
+    (["simulate", "--n", "1100", "--marked", "1", "--iterations", "optimal"], "domain-error"),
+    (["compare", "--n", "1100"], "domain-error"),
+    (["compare", "--n", "1100", "--k-mode", "optimal"], "domain-error"),
     (["rules-check", "--sizes", "1,x"], "invalid-argument"),
     (["diagram-normalize", "{diagram}", "--max-steps", "0"], "invalid-argument"),
     (["diagram-normalize", "{diagram}", "--max-steps", "-3"], "invalid-argument"),

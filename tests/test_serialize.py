@@ -54,10 +54,14 @@ def test_group_payload_round_trip():
     assert box.group.character_table == z4.character_table
 
 
-def test_groups_with_and_without_characters_round_trip():
+def _two_group_diagram():
     from test_diagram import _s3
 
-    d = tensor(make_generator(GroupMult(cyclic_group(4))), make_generator(GroupUnit(_s3())))
+    return tensor(make_generator(GroupMult(cyclic_group(4))), make_generator(GroupUnit(_s3())))
+
+
+def test_groups_with_and_without_characters_round_trip():
+    d = _two_group_diagram()
     text = dumps(d)
     assert dumps(loads(text)) == text
     assert loads(text) == d
@@ -135,6 +139,62 @@ def test_name_collision_between_distinct_spaces_rejected():
     d = Diagram((a, b), (a, b), ((Identity(a), Identity(b)),))
     with pytest.raises(InvalidArgumentError, match="share the name"):
         to_document(d)
+
+
+def test_name_collision_between_distinct_groups_rejected():
+    from test_rewrite import Z3, Z3_RELABELLED
+
+    assert Z3_RELABELLED.space() == Z3.space()
+    d = tensor(make_generator(GroupUnit(Z3)), make_generator(GroupUnit(Z3_RELABELLED)))
+    with pytest.raises(InvalidArgumentError, match="two distinct groups share the name 'Z3'"):
+        to_document(d)
+
+
+def test_name_collision_between_group_and_set_space_rejected():
+    # no interface wires: only the group names its space
+    d = Diagram((), (), ((Identity(set_space("Z2", 2)), GroupUnit(Z2)),))
+    with pytest.raises(InvalidArgumentError, match="two distinct spaces share the name 'Z2'"):
+        to_document(d)
+
+
+NAME_KEYS = ("space", "domain", "codomain", "left", "right", "group")  # one name each
+NAME_LIST_KEYS = ("dom", "cod")  # a list of names each
+
+
+def _assert_spaces_are_those_referenced(d):
+    """The space records of `d`'s document are exactly the names its inputs,
+    outputs and generator records reference, and those with a group record
+    exactly the groups referenced; read off the JSON alone."""
+    doc = json.loads(dumps(d))
+    spaces, groups = set(doc["inputs"] + doc["outputs"]), set()
+    for rec in (rec for sl in doc["slices"] for rec in sl):
+        spaces.update(rec[k] for k in NAME_KEYS if k in rec)
+        spaces.update(name for k in NAME_LIST_KEYS for name in rec.get(k, ()))
+        if "group" in rec:
+            groups.add(rec["group"])
+    assert [s["name"] for s in doc["spaces"]] == sorted(spaces)
+    assert {s["name"] for s in doc["spaces"] if "group" in s} == groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_random_document_lists_the_spaces_it_references(seed):
+    from oracles import random_diagram
+
+    _assert_spaces_are_those_referenced(random_diagram(random.Random(seed)))
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [
+        *(build_grover_diagram(n, indicator_box(register_space(n), {n - 1}), 1) for n in (2, 3, 4)),
+        _two_group_diagram(),
+        compose(make_generator(GroupUnit(Z2)), make_generator(RepBox(Z2, 1))),
+    ],
+    ids=["grover-2", "grover-3", "grover-4", "two-groups", "closed-group"],
+)
+def test_document_lists_the_spaces_and_groups_it_references(diagram):
+    _assert_spaces_are_those_referenced(diagram)
 
 
 def test_sign_rep_survives_round_trip_numerically():
